@@ -3,13 +3,14 @@ and empirical verdicts for the two open counting conjectures.
 
 A space on n points is a surjection from the n(n-1)/2 point pairs onto an
 initial segment of ranks, so the raw search space for n points has Fubini
-(ordered-set-partition) size. Enumeration canonicalizes each generated
-assignment and dedups. For n = 5 the raw stream is cut down first: only
-one representative per point-relabeling orbit of the underlying unordered
-partition is expanded into rank orderings, which shrinks the work about a
-hundredfold without losing any isomorphism class (every class meets the
-expansion of its own orbit representative). The remaining bulk runs
-through numpy with rank vectors packed 4 bits per pair into uint64 keys.
+(ordered-set-partition) size. Enumeration is orderly (Read 1978, "Every one
+a winner"; McKay 1998, "Isomorph-free exhaustive generation"): one
+depth-first search assigns levels pair by pair and cuts every prefix that
+some point relabeling already makes lexicographically smaller, so each
+isomorphism class is emitted exactly once, as its canonical (lex-minimal)
+level vector, in sorted order. Nothing is deduplicated afterwards. A
+census report enumerates once and reads the class count, both ball
+extremes and the line-embeddable count off that one tuple.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .balls import ball_set, hasse, hasse_isomorphic
 from .errors import SizeLimitError, ValidationError
 from .line import NOT_EMBEDDABLE, classify_four_point, embed_line
-from .space import OrdinalSpace, all_pairs, canonical_form
+from .space import OrdinalSpace, _pair_perms, all_pairs
 
 # maximal ball counts conjectured to continue this OEIS prefix
 A263511_PREFIX = (1, 3, 6, 12, 19, 29, 40)
@@ -54,217 +53,84 @@ def fubini(p: int) -> int:
     return f[p]
 
 
-def _rgs(p):
-    """Restricted growth strings: unordered set partitions of p positions."""
-    r = [1] * p
+def _orderly_levels(n, injective):
+    """Canonical level vectors on n >= 2 points, in lexicographic order.
 
-    def rec(i, mx):
-        if i == p:
-            yield tuple(r)
+    Depth-first over pair positions, levels tried in increasing order. A
+    relabeling g reads the vector as w[t] = v[pg[t]]; the prefix dies as
+    soon as some g makes w smaller on positions already fixed, and a child
+    inherits only the relabelings whose comparison is still open, each with
+    the first position not yet decided. A prefix also dies when too few
+    positions remain to fill the levels skipped below its maximum.
+    """
+    p = n * (n - 1) // 2
+    identity = tuple(range(p))
+    perms = [pg for _, pg in _pair_perms(n) if pg != identity]
+    v = [0] * p
+    uses = [0] * (p + 1)
+    out = []
+
+    def extend(t, live, top, distinct):
+        if t == p:
+            out.append(tuple(v))
             return
-        for v in range(1, mx + 2):
-            r[i] = v
-            yield from rec(i + 1, max(mx, v))
+        for x in range(1, p + 1):
+            if injective and uses[x]:
+                continue
+            new_top = max(top, x)
+            new_distinct = distinct + (uses[x] == 0)
+            if new_top - new_distinct > p - 1 - t:
+                if x > top:
+                    break  # every larger level leaves even more unfilled
+                continue
+            v[t] = x
+            undecided = []
+            for pg, s in live:
+                while s <= t and pg[s] <= t and v[pg[s]] == v[s]:
+                    s += 1
+                if s > t or pg[s] > t:
+                    undecided.append((pg, s))
+                elif v[pg[s]] < v[s]:
+                    break  # g relabels this prefix to a smaller one
+            else:
+                uses[x] += 1
+                extend(t + 1, undecided, new_top, new_distinct)
+                uses[x] -= 1
 
-    yield from rec(1, 1)
-
-
-def _pair_columns(n):
-    """For every point permutation g, the column map sending a pair-indexed
-    rank vector v to its relabeling: (g.v)[t] = v[cols[g][t]]."""
-    pairs = all_pairs(n)
-    idx = {p: t for t, p in enumerate(pairs)}
-    return np.array(
-        [
-            [idx[tuple(sorted((g[a], g[b])))] for a, b in pairs]
-            for g in itertools.permutations(range(n))
-        ],
-        dtype=np.int64,
-    )
-
-
-def _pack(arr):
-    """Pack rank vectors (rows, values < 16) into uint64 lex keys."""
-    p = arr.shape[1]
-    shifts = np.arange(p - 1, -1, -1, dtype=np.uint64) * np.uint64(4)
-    return (arr.astype(np.uint64) << shifts).sum(axis=1)
-
-
-def _unpack(keys, p):
-    out = np.empty((len(keys), p), dtype=np.int8)
-    for t in range(p):
-        out[:, t] = (keys >> np.uint64(4 * (p - 1 - t))) & np.uint64(0xF)
+    extend(0, [(pg, 0) for pg in perms], 0, 0)
     return out
-
-
-def _canonical_keys(rows, cols):
-    """Packed canonical form (lex-min relabeling) of each rank vector row."""
-    best = None
-    for g in range(cols.shape[0]):
-        cand = _pack(rows[:, cols[g]])
-        best = cand if best is None else np.minimum(best, cand)
-    return best
 
 
 def _space_from_levels(n, levels):
     ranks = [[0] * n for _ in range(n)]
     for (a, b), v in zip(all_pairs(n), levels):
-        ranks[a][b] = ranks[b][a] = int(v)
-    return OrdinalSpace(n, max(int(v) for v in levels), tuple(tuple(r) for r in ranks))
+        ranks[a][b] = ranks[b][a] = v
+    return OrdinalSpace(n, max(levels), tuple(tuple(r) for r in ranks))
 
 
-def _sorted_spaces(keyed_levels, n):
-    return tuple(_space_from_levels(n, lv) for lv in sorted(keyed_levels))
-
-
-def _enumerate_small(n, injective):
-    """Plain generate-and-canonicalize; fine through n = 4."""
-    pairs = all_pairs(n)
-    p = len(pairs)
-    seen = set()
-    if injective:
-        sources = itertools.permutations(range(1, p + 1))
-    else:
-        sources = (
-            tuple(beta[v - 1] for v in rgs)
-            for rgs in _rgs(p)
-            for beta in itertools.permutations(range(1, max(rgs) + 1))
-        )
-    for levels in sources:
-        seen.add(canonical_form(_space_from_levels(n, levels)).level_vector())
-    return _sorted_spaces(seen, n)
-
-
-def _rgs_orbit_representatives(p, cols):
-    """One RGS per point-relabeling orbit of unordered partitions.
-
-    Relabeling permutes pair positions; renormalizing block labels by first
-    occurrence restores an RGS, and the lex-min over the group is the orbit
-    representative. Vectorized: the label map is rebuilt column by column.
-    """
-    rows = np.array(list(_rgs(p)), dtype=np.int8)
-    m = len(rows)
-    best = None
-    rng = np.arange(m)
-    for g in range(cols.shape[0]):
-        pm = rows[:, cols[g]]
-        out = np.empty_like(pm)
-        label = np.zeros((m, p + 2), dtype=np.int8)
-        top = np.zeros(m, dtype=np.int8)
-        for t in range(p):
-            v = pm[:, t]
-            unseen = label[rng, v] == 0
-            top[unseen] += 1
-            label[rng[unseen], v[unseen]] = top[unseen]
-            out[:, t] = label[rng, v]
-        cand = _pack(out)
-        best = cand if best is None else np.minimum(best, cand)
-    return _unpack(np.unique(best), p)
-
-
-def _beta_tables(max_k):
-    tables = {}
-    for kk in range(1, max_k + 1):
-        tables[kk] = np.array(
-            list(itertools.permutations(range(1, kk + 1))), dtype=np.int8
-        )
-    return tables
-
-
-def _scan_canonical(row_batches, cols, jobs=1):
-    """Union of canonical keys over batches of rank-vector rows. The merge
-    is a set union, so worker completion order cannot affect the result."""
-    parts = []
-
-    def one(rows):
-        return np.unique(_canonical_keys(rows, cols))
-
-    def drain(threshold):
-        if len(parts) > threshold:
-            merged = np.unique(np.concatenate(parts))
-            parts.clear()
-            parts.append(merged)
-
-    if jobs > 1:
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            pending = set()
-            for rows in row_batches:
-                pending.add(ex.submit(one, rows))
-                if len(pending) >= 2 * jobs:  # keep batch memory bounded
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    parts.extend(f.result() for f in done)
-                    drain(64)
-            for f in pending:
-                parts.append(f.result())
-    else:
-        for rows in row_batches:
-            parts.append(one(rows))
-            drain(64)
-    if not parts:
-        return np.empty(0, dtype=np.uint64)
-    return np.unique(np.concatenate(parts))
-
-
-def _injective_batches(p, chunk=120_960):
-    perms = itertools.permutations(range(1, p + 1))
-    while True:
-        block = list(itertools.islice(perms, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
-
-
-def _enumerate_injective_n5(jobs=1):
-    cols = _pair_columns(5)
-    keys = _scan_canonical(_injective_batches(10), cols, jobs=jobs)
-    return tuple(
-        _space_from_levels(5, lv) for lv in _unpack(keys, 10)
-    )
-
-
-def _enumerate_all_n5(jobs=1):
-    cols = _pair_columns(5)
-    reps = _rgs_orbit_representatives(10, cols)
-    betas = _beta_tables(9)
-
-    def batches():
-        for rep in reps:
-            kk = int(rep.max())
-            if kk == 10:
-                continue  # the injective stream below covers it
-            yield betas[kk][:, rep - 1]
-        yield from _injective_batches(10)
-
-    keys = _scan_canonical(batches(), cols, jobs=jobs)
-    return tuple(_space_from_levels(5, lv) for lv in _unpack(keys, 10))
+def _all_allowed(n, huge):
+    return n <= 4 or (n == 5 and huge)
 
 
 def enumerate_spaces(
     n: int,
     filt: CensusFilter = CensusFilter.ALL,
     huge: bool = False,
-    jobs: int = 1,
 ):
     """All isomorphism classes on n points, canonical representatives in
-    sorted order. ALL needs n <= 4 (n = 5 only with huge=True: about 1e8
-    raw assignments); INJECTIVE (all pair ranks distinct) needs n <= 5."""
+    sorted order. ALL needs n <= 4 (n = 5 only with huge=True: 856,608
+    classes); INJECTIVE (all pair ranks distinct) needs n <= 5."""
     if n < 1:
         raise ValidationError("need at least one point")
+    if filt is CensusFilter.ALL:
+        if not _all_allowed(n, huge):
+            raise SizeLimitError("census ALL points", n, 5 if huge else 4)
+    elif n > 5:
+        raise SizeLimitError("census INJECTIVE points", n, 5)
     if n == 1:
         return (OrdinalSpace(1, 0, ((0,),)),)
-    if filt is CensusFilter.ALL:
-        if n > 5 or (n == 5 and not huge):
-            raise SizeLimitError("census ALL points", n, 5 if huge else 4)
-        if n == 5:
-            return _enumerate_all_n5(jobs=jobs)
-        return _enumerate_small(n, injective=False)
-    if n > 5:
-        raise SizeLimitError("census INJECTIVE points", n, 5)
-    if n == 5:
-        return _enumerate_injective_n5(jobs=jobs)
-    return _enumerate_small(n, injective=True)
+    injective = filt is CensusFilter.INJECTIVE
+    return tuple(_space_from_levels(n, lv) for lv in _orderly_levels(n, injective))
 
 
 def burnside_count(n: int, filt: CensusFilter = CensusFilter.ALL) -> int:
@@ -313,27 +179,20 @@ class BallExtremes:
     matches_triangular: Verdict
 
 
-def ball_extremes(n: int, huge: bool = False, jobs: int = 1) -> BallExtremes:
-    """Extreme ball counts: the maximum over all classes against the OEIS
-    prefix, the minimum over injective-rank classes against n(n+1)/2.
-    Whatever the guards block stays UNTESTED."""
-    max_balls = max_witness = None
-    try:
-        for s in enumerate_spaces(n, CensusFilter.ALL, huge=huge, jobs=jobs):
-            c = len(ball_set(s))
-            if max_balls is None or c > max_balls:
-                max_balls, max_witness = c, s
-    except SizeLimitError:
-        pass
-    min_balls = min_witness = None
-    if n >= 2:
-        try:
-            for s in enumerate_spaces(n, CensusFilter.INJECTIVE, huge=huge, jobs=jobs):
-                c = len(ball_set(s))
-                if min_balls is None or c < min_balls:
-                    min_balls, min_witness = c, s
-        except SizeLimitError:
-            pass
+def _extremes(n, spaces, full):
+    """Ball extremes over one enumeration in sorted order: the maximum
+    needs every class (full), the minimum reads the injective-rank classes
+    among them. The first class attaining an extreme is its witness."""
+    counts = [len(ball_set(s)) for s in spaces]
+    max_balls = max_witness = min_balls = min_witness = None
+    if full:
+        max_balls = max(counts)
+        max_witness = spaces[counts.index(max_balls)]
+    p = n * (n - 1) // 2
+    injective = [i for i, s in enumerate(spaces) if s.k == p]
+    if n >= 2 and injective:
+        i = min(injective, key=counts.__getitem__)
+        min_balls, min_witness = counts[i], spaces[i]
     if max_balls is None or n > len(A263511_PREFIX):
         v_max = Verdict.UNTESTED
     elif max_balls == A263511_PREFIX[n - 1]:
@@ -351,19 +210,31 @@ def ball_extremes(n: int, huge: bool = False, jobs: int = 1) -> BallExtremes:
     )
 
 
+def ball_extremes(n: int, huge: bool = False) -> BallExtremes:
+    """Extreme ball counts: the maximum over all classes against the OEIS
+    prefix, the minimum over injective-rank classes against n(n+1)/2.
+    Whatever the guards block stays UNTESTED."""
+    full = _all_allowed(n, huge)
+    filt = CensusFilter.ALL if full else CensusFilter.INJECTIVE
+    try:
+        spaces = enumerate_spaces(n, filt, huge=huge)
+    except SizeLimitError:
+        spaces = ()
+    return _extremes(n, spaces, full)
+
+
+def _count_line_embeddable(n, spaces):
+    """The four-point classifier decides n = 4, the exact LP smaller n."""
+    if n == 4:
+        return sum(classify_four_point(s) is not NOT_EMBEDDABLE for s in spaces)
+    return sum(embed_line(s) is not None for s in spaces)
+
+
 def count_r1_embeddable(n: int) -> int:
-    """Line-embeddable isomorphism classes; the four-point classifier
-    decides n = 4, the exact LP decides smaller n."""
+    """Line-embeddable isomorphism classes on n <= 4 points."""
     if n > 4:
         raise SizeLimitError("r1 census points", n, 4)
-    count = 0
-    for s in enumerate_spaces(n, CensusFilter.ALL):
-        if n == 4:
-            ok = classify_four_point(s) is not NOT_EMBEDDABLE
-        else:
-            ok = embed_line(s) is not None
-        count += ok
-    return count
+    return _count_line_embeddable(n, enumerate_spaces(n, CensusFilter.ALL))
 
 
 @dataclass(frozen=True)
@@ -437,31 +308,38 @@ def census_report(
     n: int,
     filt: CensusFilter = CensusFilter.ALL,
     huge: bool = False,
-    jobs: int = 1,
 ) -> CensusReport:
+    """Class count, ball extremes and line-embeddable count from one
+    enumeration: ALL wherever the guard allows it, since the maximum needs
+    every class, and the injective classes are its distinct-rank slice."""
     times = {}
     t0 = time.perf_counter()
-    spaces = enumerate_spaces(n, filt, huge=huge, jobs=jobs)
+    full = filt is CensusFilter.ALL or _all_allowed(n, huge)
+    spaces = enumerate_spaces(
+        n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge=huge
+    )
+    p = n * (n - 1) // 2
+    classes = spaces if filt is CensusFilter.ALL else [s for s in spaces if s.k == p]
     times["enumerate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     expected = burnside_count(n, filt)
     times["burnside"] = time.perf_counter() - t0
-    if len(spaces) != expected:
+    if len(classes) != expected:
         raise AssertionError(
-            f"enumeration found {len(spaces)} classes, orbit count says {expected}"
+            f"enumeration found {len(classes)} classes, orbit count says {expected}"
         )
     t0 = time.perf_counter()
-    extremes = ball_extremes(n, huge=huge, jobs=jobs)
+    extremes = _extremes(n, spaces, full)
     times["extremes"] = time.perf_counter() - t0
     r1 = None
     if filt is CensusFilter.ALL and n <= 4:
         t0 = time.perf_counter()
-        r1 = count_r1_embeddable(n)
+        r1 = _count_line_embeddable(n, spaces)
         times["r1"] = time.perf_counter() - t0
     return CensusReport(
         n=n,
         filter=filt,
-        total_nonisomorphic=len(spaces),
+        total_nonisomorphic=len(classes),
         burnside_total=expected,
         extremes=extremes,
         r1_embeddable_count=r1,

@@ -49,8 +49,18 @@ EXIT_INTERNAL = 70
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _load_space(path):
@@ -347,7 +357,7 @@ def cmd_check_r2(args):
 
 def cmd_census(args):
     filt = CensusFilter.INJECTIVE if args.filter == "injective" else CensusFilter.ALL
-    rep = census_report(args.n, filt, huge=args.huge, jobs=args.jobs)
+    rep = census_report(args.n, filt, huge=args.huge)
     ex = rep.extremes
     payload = {
         "n": rep.n,
@@ -447,7 +457,7 @@ def build_parser():
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--oracle", action="store_true", help="cross-check with the quadruple-counting oracle")
-    sp.add_argument("--limit", type=int, default=8, help="point-count guard (default 8)")
+    sp.add_argument("--limit", type=_positive_int, default=8, help="point-count guard (default 8)")
 
     sp = add("balls", cmd_balls, "count and list all distinct balls")
     sp.add_argument("file")
@@ -458,7 +468,7 @@ def build_parser():
 
     sp = add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?")
     sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=8, help="point-count guard (default 8)")
+    sp.add_argument("--limit", type=_positive_int, default=8, help="point-count guard (default 8)")
 
     sp = add("t10", cmd_t10, "four-point classifier: inequality-pattern case tag or NOT_EMBEDDABLE")
     sp.add_argument("file")
@@ -475,7 +485,6 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--filter", choices=("all", "injective"), default="all")
     sp.add_argument("--huge", action="store_true", help="allow the large n=5 full enumeration")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for the large scan")
     sp.add_argument("--out", help="also write the JSON report to this path")
 
     sp = add("menger-probe", cmd_menger_probe, "subset embeddability statistics for one space")

@@ -129,7 +129,7 @@ def test_acceptance_04_max_ball_prefix():
     budget = 60.0
     if os.environ.get("ORDSPACE_HUGE"):
         budget = 4 * 3600.0
-        ext = ball_extremes(5, huge=True, jobs=int(os.environ.get("ORDSPACE_JOBS", "1")))
+        ext = ball_extremes(5, huge=True)
         ok = ok and ext.max_balls == 19 and ext.matches_A263511 is Verdict.MATCH
         detail = "n=5 maximum differs from 19"
     report(4, ok, detail, t0, budget)

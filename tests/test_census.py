@@ -1,5 +1,7 @@
 """Exhaustive enumeration by isomorphism class and the conjecture reports."""
 
+import itertools
+
 import pytest
 
 from conftest import load_hasse, load_space, relabel
@@ -18,7 +20,13 @@ from ordspace.census import (
     triangular,
 )
 from ordspace.errors import SizeLimitError, ValidationError
-from ordspace.space import canonical_form, find_isomorphism
+from ordspace.space import (
+    OrdinalSpace,
+    all_pairs,
+    canonical_form,
+    canonical_level_vector,
+    find_isomorphism,
+)
 
 ALL_COUNTS = {1: 1, 2: 1, 3: 4, 4: 225}
 INJECTIVE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 30}
@@ -78,10 +86,36 @@ def test_enumeration_guards():
         enumerate_spaces(0)
 
 
-def test_parallel_enumeration_is_deterministic():
-    assert enumerate_spaces(4, CensusFilter.ALL, jobs=2) == enumerate_spaces(
-        4, CensusFilter.ALL
-    )
+def _raw_surjections(p, injective):
+    """Every level vector of length p onto 1..k, for some k."""
+    if injective:
+        yield from itertools.permutations(range(1, p + 1))
+        return
+    for levels in itertools.product(range(1, p + 1), repeat=p):
+        if set(levels) == set(range(1, max(levels, default=0) + 1)):
+            yield levels
+
+
+@pytest.mark.parametrize("filt", list(CensusFilter))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orderly_generation_matches_canonicalize_and_dedup(n, filt):
+    # the generate-and-canonicalize census, kept as a slow oracle
+    pairs = all_pairs(n)
+    seen = set()
+    for levels in _raw_surjections(len(pairs), filt is CensusFilter.INJECTIVE):
+        rows = [[0] * n for _ in range(n)]
+        for (a, b), v in zip(pairs, levels):
+            rows[a][b] = rows[b][a] = v
+        seen.add(canonical_form(OrdinalSpace.from_rows(rows)))
+    expected = tuple(sorted(seen, key=lambda s: s.level_vector()))
+    assert enumerate_spaces(n, filt) == expected
+
+
+def test_injective_census_n5_is_canonical_sorted_and_complete():
+    levels = [s.level_vector() for s in enumerate_spaces(5, CensusFilter.INJECTIVE)]
+    assert levels == sorted(levels)
+    assert len(levels) == burnside_count(5, CensusFilter.INJECTIVE)
+    assert all(canonical_level_vector(v, 5) == v for v in levels)
 
 
 def test_ball_extremes_n3():

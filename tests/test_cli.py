@@ -233,6 +233,41 @@ def test_missing_and_malformed_files(tmp_path):
     assert code == 2 and "input error" in err
 
 
+def test_binary_input_is_an_input_error(tmp_path):
+    # bytes that are not UTF-8 must exit 2, never escape as a traceback
+    f = tmp_path / "binary.ord"
+    f.write_bytes(b"\xff\xfe\x00\x80")
+    for argv in (
+        ("ordtype", f),
+        ("validate", f),
+        ("iso", f, fx("min3.ord")),
+        ("iso", fx("min3.ord"), f),
+        ("dord", f, fx("min3.ord")),
+        ("balls", f),
+        ("hasse", f),
+        ("embed1d", f),
+        ("t10", f),
+        ("embednd", f, "--dim", "2"),
+        ("check-r2", f),
+        ("menger-probe", f, "--dim", "2"),
+    ):
+        code, _, err = run(*argv)
+        assert code == 2, argv
+        assert "input error" in err and "Traceback" not in err, argv
+
+
+def test_limit_must_be_positive():
+    for argv in (
+        ("dord", fx("min3.ord"), fx("twomax3.ord"), "--limit", "-1"),
+        ("dord", fx("min3.ord"), fx("twomax3.ord"), "--limit", "0"),
+        ("embed1d", fx("min3.ord"), "--limit", "0"),
+        ("embed1d", fx("min3.ord"), "--limit", "-3"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 2 and out == "", argv
+        assert "--limit" in err and "guard exceeded" not in err, argv
+
+
 def test_json_reports_carry_version_and_seed():
     code, out, _ = run(
         "dord", fx("min3.ord"), fx("twomax3.ord"), "--format", "json", "--seed", "5"

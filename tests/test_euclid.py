@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import collinear, load_space, random_space, space_from_values
+from ordspace import euclid
 from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import ValidationError
 from ordspace.euclid import (
@@ -229,6 +230,28 @@ def test_realize_simplex_halves_the_scale():
     once = scaled_distances(s, 1).values
     assert cert.squared == tuple(tuple(v * v for v in r) for r in once)
     assert ranks_from_squared(cert.squared, 7) == s.ranks
+
+
+def test_realize_simplex_rejects_a_singular_certificate(monkeypatch):
+    # points 0, 1 and 3 on the line: a PSD Gram matrix of rank 1, which
+    # certifies no triangle, so realize_simplex must halve the scale
+    line = tuple(tuple(Fraction((a - b) ** 2) for b in (0, 1, 3)) for a in (0, 1, 3))
+    singular = _certificate_from_squared(line)
+    assert singular is not None and singular.rank == 1
+    real = euclid._certificate_from_squared
+    seen = []
+
+    def singular_first(squared, dim=None):
+        seen.append(squared)
+        return singular if len(seen) == 1 else real(squared, dim)
+
+    monkeypatch.setattr(euclid, "_certificate_from_squared", singular_first)
+    s = load_space("min3.ord")
+    cert = realize_simplex(s).certificate
+    assert cert.rank == 2
+    assert len(seen) == 2
+    once = scaled_distances(s, 1).values
+    assert cert.squared == seen[1] == tuple(tuple(v * v for v in r) for r in once)
 
 
 def test_realize_simplex_certificate_pinned():
