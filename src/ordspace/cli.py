@@ -33,12 +33,13 @@ from .formats import (
     parse_rank_matrix,
 )
 from .line import (
+    DEFAULT_LIMIT as LINE_LIMIT,
     NOT_EMBEDDABLE,
     classify_four_point,
     embed_line,
     profile_necessary_check,
 )
-from .orddist import d_ord, d_ord_oracle
+from .orddist import DEFAULT_LIMIT as DORD_LIMIT, d_ord, d_ord_oracle
 from .space import find_isomorphism, from_comparisons, ordinal_type
 
 EXIT_OK = 0
@@ -457,7 +458,8 @@ def build_parser():
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--oracle", action="store_true", help="cross-check with the quadruple-counting oracle")
-    sp.add_argument("--limit", type=_positive_int, default=8, help="point-count guard (default 8)")
+    sp.add_argument("--limit", type=_positive_int, default=DORD_LIMIT,
+                    help=f"point-count guard (default {DORD_LIMIT})")
 
     sp = add("balls", cmd_balls, "count and list all distinct balls")
     sp.add_argument("file")
@@ -468,7 +470,8 @@ def build_parser():
 
     sp = add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?")
     sp.add_argument("file")
-    sp.add_argument("--limit", type=_positive_int, default=8, help="point-count guard (default 8)")
+    sp.add_argument("--limit", type=_positive_int, default=LINE_LIMIT,
+                    help=f"point-count guard (default {LINE_LIMIT})")
 
     sp = add("t10", cmd_t10, "four-point classifier: inequality-pattern case tag or NOT_EMBEDDABLE")
     sp.add_argument("file")

@@ -179,41 +179,45 @@ def _nesting_ok_prefix(s, e, j):
     return True
 
 
-def _nesting_ok(s, e):
-    return all(_nesting_ok_prefix(s, e, j) for j in range(1, len(e)))
+def _nested_orderings(s):
+    """Point orderings with first point < last point (an ordering and its
+    reversal are the same line) whose every prefix passes the nesting
+    condition, in lexicographic order. Depth-first: a prefix that fails
+    is abandoned with all its extensions."""
+    n = s.n
+    e = []
+
+    def extend():
+        if len(e) == n:
+            if e[0] < e[-1]:
+                yield tuple(e)
+            return
+        for p in range(n):
+            if p in e:
+                continue
+            e.append(p)
+            if _nesting_ok_prefix(s, e, len(e) - 1):
+                yield from extend()
+            e.pop()
+
+    return extend()
 
 
 def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
-    """First enumeration (DFS order) that majorizes, or None.
+    """First enumeration (lexicographic order) that majorizes, or None.
 
-    Prunes with the nesting condition, which any majorizing enumeration
-    satisfies, and skips reversals (an enumeration majorizes iff its
-    reversal does), keeping only first point < last point.
+    Searches only the nested orderings: any majorizing enumeration
+    satisfies the nesting condition, and an enumeration majorizes iff its
+    reversal does.
     """
     n = s.n
     if n > limit:
         raise SizeLimitError("find_majorizing_enumeration", n, limit)
     if n == 1:
         return (0,)
-    e = []
-
-    def extend():
-        if len(e) == n:
-            if e[0] < e[-1] and check_majorization(s, e).ok:
-                return tuple(e)
-            return None
-        for p in range(n):
-            if p in e:
-                continue
-            e.append(p)
-            if _nesting_ok_prefix(s, e, len(e) - 1):
-                found = extend()
-                if found:
-                    return found
-            e.pop()
-        return None
-
-    return extend()
+    return next(
+        (e for e in _nested_orderings(s) if check_majorization(s, e).ok), None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,8 @@ def _margin_lp(s, ordering):
 
 
 def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
-    """Exact 1-D embedding decision: scan point orders (up to reversal),
-    screen with the nesting condition, then decide by the margin LP.
+    """Exact 1-D embedding decision: walk the nested point orders (up to
+    reversal) and decide each by the margin LP.
 
     Floating point never enters: the screen is integer comparisons and the
     LP is exact. Returns a verified LineWitness or None.
@@ -310,11 +314,7 @@ def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
         raise SizeLimitError("embed_line", n, limit)
     if n == 1:
         return LineWitness((0,), (), Fraction(1))
-    for ordering in itertools.permutations(range(n)):
-        if ordering[0] > ordering[-1]:
-            continue
-        if not _nesting_ok(s, ordering):
-            continue
+    for ordering in _nested_orderings(s):
         witness = _margin_lp(s, ordering)
         if witness is not None:
             return witness

@@ -29,83 +29,53 @@ class OrdDistResult:
     disagreements: tuple  # ((pair, pair), ...) in the first space's labels
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _comparison_schedule(n):
-    """Unordered comparisons of distinct pairs, grouped by the largest
-    point involved, so a depth-first bijection search can score each
-    comparison at the exact depth where it becomes decided."""
-    pairs = all_pairs(n)
-    by_depth = [[] for _ in range(n)]
-    for pa, pb in itertools.combinations(pairs, 2):
-        by_depth[max(*pa, *pb)].append((pa, pb))
-    return by_depth
-
-
-def _disagreements_for(a, b, perm):
-    out = []
-    for pa, pb in itertools.combinations(all_pairs(a.n), 2):
-        ra = _sign(a.ranks[pa[0]][pa[1]] - a.ranks[pb[0]][pb[1]])
-        rb = _sign(
-            b.ranks[perm[pa[0]]][perm[pa[1]]] - b.ranks[perm[pb[0]]][perm[pb[1]]]
-        )
-        if ra != rb:
-            out.append((pa, pb))
-    return tuple(out)
-
-
 def d_ord(a: OrdinalSpace, b: OrdinalSpace, limit: int = DEFAULT_LIMIT) -> OrdDistResult:
     """Minimize disagreeing comparisons over all bijections.
 
-    Branch and bound over images point by point; a partial assignment is
-    abandoned once its decided disagreements reach the incumbent. Images
-    are tried in increasing order and only strict improvements replace the
-    incumbent, so the witness is the lexicographically smallest optimum.
+    Every bijection is scored: b's levels under each point permutation are
+    laid out as small integers, and the signs of all comparisons of
+    distinct pairs are compared with a's. The permutations run in
+    lexicographic order, in blocks that fix all points but the last
+    min(n, 5), so working memory does not grow with n. Only a strictly
+    smaller count replaces the incumbent, so the witness is the
+    lexicographically smallest optimum.
     """
     if a.n != b.n:
         raise ValidationError("spaces must have the same cardinality")
     n = a.n
     if n > limit:
         raise SizeLimitError("d_ord points", n, limit)
-    if n < 2:
+    if n < 3:  # at most one pair: no comparisons to disagree on
         return OrdDistResult(0, tuple(range(n)), ())
-    schedule = _comparison_schedule(n)
-    total = sum(len(lv) for lv in schedule)
-    best_value = total + 1
-    best_perm = None
-    perm = [None] * n
-    used = [False] * n
+    pairs = all_pairs(n)
+    first, second = np.array(pairs).T
+    u, v = np.array(list(itertools.combinations(range(len(pairs)), 2))).T
+    # signed and wide enough for every level and every difference of two
+    dtype = np.min_scalar_type(-1 - max(a.k, b.k))
+    levels_a = np.array([a.ranks[i][j] for i, j in pairs], dtype=dtype)
+    signs_a = np.sign(levels_a[u] - levels_a[v])
+    ranks_b = np.array(b.ranks, dtype=dtype)
 
-    def descend(depth, count):
-        nonlocal best_value, best_perm
-        if depth == n:
-            if count < best_value:
-                best_value = count
-                best_perm = tuple(perm)
-            return
-        for img in range(n):
-            if used[img]:
-                continue
-            perm[depth] = img
-            used[img] = True
-            c = count
-            for pa, pb in schedule[depth]:
-                ra = _sign(a.ranks[pa[0]][pa[1]] - a.ranks[pb[0]][pb[1]])
-                rb = _sign(
-                    b.ranks[perm[pa[0]]][perm[pa[1]]]
-                    - b.ranks[perm[pb[0]]][perm[pb[1]]]
-                )
-                if ra != rb:
-                    c += 1
-            if c < best_value:
-                descend(depth + 1, c)
-            used[img] = False
-        perm[depth] = None
+    def mismatches(perms):
+        levels = ranks_b[perms[:, first], perms[:, second]]
+        return np.sign(levels[:, u] - levels[:, v]) != signs_a
 
-    descend(0, 0)
-    return OrdDistResult(best_value, best_perm, _disagreements_for(a, b, best_perm))
+    free = min(n, 5)  # points permuted within one block of at most 120 rows
+    fixed = n - free
+    tails = np.array(list(itertools.permutations(range(free))))
+    block = np.empty((len(tails), n), dtype=np.intp)
+    best_value = len(u) + 1
+    for head in itertools.permutations(range(n), fixed):
+        block[:, :fixed] = head
+        block[:, fixed:] = np.array(sorted(set(range(n)) - set(head)))[tails]
+        counts = mismatches(block).sum(axis=1)
+        row = counts.argmin()
+        if counts[row] < best_value:
+            best_value, best_perm = int(counts[row]), tuple(block[row].tolist())
+    wrong = np.flatnonzero(mismatches(np.array([best_perm]))[0])
+    return OrdDistResult(
+        best_value, best_perm, tuple((pairs[u[c]], pairs[v[c]]) for c in wrong)
+    )
 
 
 def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace, limit: int = 6):

@@ -1,13 +1,22 @@
 """Line embeddability: majorization, the exact LP decision, the four-point
 classification, and class-profile conditions."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import collinear, load_space, random_space, relabel, space_from_values
+from conftest import (
+    FIXTURES,
+    collinear,
+    load_space,
+    random_space,
+    relabel,
+    space_from_values,
+)
+from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.line import (
     NOT_EMBEDDABLE,
@@ -22,6 +31,7 @@ from ordspace.line import (
     find_majorizing_enumeration,
     interval_ranks,
     majorization_consequences,
+    _margin_lp,
     probe_majorization_conjecture,
     profile_equivalence_report,
     profile_necessary_check,
@@ -130,6 +140,40 @@ def test_embed_line_guard_and_single_point():
     assert w.ordering == (0,)
     with pytest.raises(SizeLimitError):
         embed_line(load_space("seven_swap.ord"), limit=6)
+
+
+def first_realizable_ordering(s):
+    """First ordering in itertools.permutations order, with first point <
+    last, whose margin LP succeeds, or None. A line realization of an
+    ordering restricts to one of every sub-ordering, so an ordering with a
+    three-point sub-ordering whose LP fails is ruled out without solving
+    its own, larger LP."""
+
+    @functools.cache
+    def triple_realizable(x, y, z):
+        sub = space_from_values(3, [s.ranks[x][y], s.ranks[x][z], s.ranks[y][z]])
+        return _margin_lp(sub, (0, 1, 2)) is not None
+
+    for ordering in itertools.permutations(range(s.n)):
+        if ordering[0] > ordering[-1]:
+            continue
+        if all(
+            triple_realizable(*t) for t in itertools.combinations(ordering, 3)
+        ) and _margin_lp(s, ordering) is not None:
+            return ordering
+    return None
+
+
+def test_embed_line_witness_is_first_realizable_ordering():
+    spaces = [s for n in range(2, 5) for s in enumerate_spaces(n, CensusFilter.ALL)]
+    spaces += [load_space(p.name) for p in sorted(FIXTURES.glob("*.ord"))]
+    assert max(s.n for s in spaces) == 7
+    found = 0
+    for s in spaces:
+        w = embed_line(s)
+        assert (w and w.ordering) == first_realizable_ordering(s), s
+        found += w is not None
+    assert 0 < found < len(spaces)
 
 
 def embeddable_fixture_spaces():

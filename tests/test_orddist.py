@@ -4,11 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_space, random_space, relabel, space_from_values
+from conftest import collinear, load_space, random_space, relabel, space_from_values
 from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.orddist import d_ord, d_ord_is_metric_probe, d_ord_oracle
-from ordspace.space import is_isomorphic
+from ordspace.space import find_isomorphism, is_isomorphic
 
 THREE_POINT_TYPES = [
     space_from_values(3, [1, 1, 1]),
@@ -19,7 +21,14 @@ THREE_POINT_TYPES = [
 
 
 def test_distance_to_self_is_zero_with_identity_witness():
-    for s in THREE_POINT_TYPES + [load_space("table6.ord")]:
+    # seven points span 42 blocks of 120 bijections; the identity must win
+    # against every later block, including the reversal of collinear points
+    spaces = THREE_POINT_TYPES + [
+        load_space("table6.ord"),
+        load_space("seven_swap.ord"),
+        collinear(*range(7)),
+    ]
+    for s in spaces:
         r = d_ord(s, s)
         assert r.value == 0
         assert r.witness == tuple(range(s.n))
@@ -61,6 +70,11 @@ def test_relabeling_gives_zero_and_inverse_witness():
     t = load_space("tree5_a.ord")
     perm = (3, 0, 4, 1, 2)
     assert d_ord(t, relabel(t, perm)).value == 0
+    # the inverse of this relabeling lies in the last block of bijections
+    seven = load_space("seven_swap.ord")
+    r = d_ord(seven, relabel(seven, (6, 5, 3, 4, 2, 1, 0)))
+    assert r.value == 0
+    assert r.witness == (6, 5, 4, 2, 3, 1, 0)
 
 
 def test_zero_iff_isomorphic_exhaustive_n3():
@@ -88,6 +102,41 @@ def test_agrees_with_ordered_quadruple_oracle():
         b = random_space(rng, 4, max_value=4)
         value, _ = d_ord_oracle(a, b)
         assert d_ord(a, b).value == value
+    # several blocks of bijections; few levels give tied optima across blocks
+    for n in (6, 6, 6, 7):
+        a = random_space(rng, n, max_value=3)
+        b = random_space(rng, n, max_value=3)
+        r = d_ord(a, b)
+        assert (r.value, r.witness) == d_ord_oracle(a, b, limit=7)
+
+
+@st.composite
+def same_size_pairs(draw):
+    """Two spaces on the same 2-5 points, each with distinct ranks or
+    with ties drawn from a few levels."""
+    n = draw(st.integers(2, 5))
+    p = n * (n - 1) // 2
+
+    def one():
+        if draw(st.booleans()):
+            return space_from_values(n, draw(st.permutations(range(p))))
+        levels = draw(st.integers(1, p))
+        return space_from_values(
+            n, draw(st.lists(st.integers(1, levels), min_size=p, max_size=p))
+        )
+
+    return one(), one()
+
+
+@settings(max_examples=500, deadline=None)
+@given(same_size_pairs())
+def test_d_ord_properties(pair):
+    a, b = pair
+    r = d_ord(a, b)
+    assert (r.value, r.witness) == d_ord_oracle(a, b)
+    assert d_ord(b, a).value == r.value
+    assert (r.value == 0) == (find_isomorphism(a, b) is not None)
+    assert len(r.disagreements) == r.value
 
 
 def count_disagreements(a, b, perm):
