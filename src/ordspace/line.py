@@ -165,48 +165,42 @@ def check_majorization(
     return MajorizationResult(True, None)
 
 
-def _nesting_ok_prefix(s, e, j):
-    """Necessary line condition on the prefix e[0..j]: every proper pair
-    strictly inside (i, j) has a strictly smaller rank."""
-    for i in range(j):
-        rij = s.ranks[e[i]][e[j]]
-        for k in range(i, j + 1):
-            for l in range(k + 1, j + 1):
-                if (k, l) == (i, j):
-                    continue
-                if s.ranks[e[k]][e[l]] >= rij:
-                    return False
-    return True
+def _is_nested(s, e):
+    """Nesting condition of the ordering e: every pair strictly inside
+    (i, j) ranks strictly below it. Shrinking (i, j) by one step at either
+    end reaches every inner pair, so the adjacent steps suffice."""
+    r = [[s.ranks[a][b] for b in e] for a in e]
+    return all(
+        r[i][j] > r[i + 1][j] and r[i][j] > r[i][j - 1]
+        for i in range(len(e))
+        for j in range(i + 2, len(e))
+    )
 
 
-def _nested_orderings(s):
-    """Point orderings with first point < last point (an ordering and its
-    reversal are the same line) whose every prefix passes the nesting
-    condition, in lexicographic order. Depth-first: a prefix that fails
-    is abandoned with all its extensions."""
-    n = s.n
-    e = []
+def _nested_ordering(s):
+    """The only point ordering with first point < last point (an ordering
+    and its reversal are the same line) that can pass the nesting
+    condition, or None if it fails.
 
-    def extend():
-        if len(e) == n:
-            if e[0] < e[-1]:
-                yield tuple(e)
-            return
-        for p in range(n):
-            if p in e:
-                continue
-            e.append(p)
-            if _nesting_ok_prefix(s, e, len(e) - 1):
-                yield from extend()
-            e.pop()
-
-    return extend()
+    In a nested ordering (first, last) is the unique top-rank pair and the
+    ranks from the first point strictly increase along it, so the ordering
+    is the lower endpoint of the diametral pair followed by the other
+    points sorted by their rank from it: the strict Robinson order, unique
+    when it exists (Prea & Fortin 2014).
+    """
+    # euclid.dp_pairs, inlined: importing euclid would load numpy
+    top = [(i, j) for i, j in s.pairs() if s.ranks[i][j] == s.k]
+    if len(top) != 1:
+        return None
+    first = top[0][0]
+    e = tuple(sorted(range(s.n), key=s.ranks[first].__getitem__))
+    return e if _is_nested(s, e) else None
 
 
 def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
-    """First enumeration (lexicographic order) that majorizes, or None.
+    """A majorizing enumeration with first point < last point, or None.
 
-    Searches only the nested orderings: any majorizing enumeration
+    Tests only the one nested ordering: any majorizing enumeration
     satisfies the nesting condition, and an enumeration majorizes iff its
     reversal does.
     """
@@ -215,9 +209,8 @@ def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
         raise SizeLimitError("find_majorizing_enumeration", n, limit)
     if n == 1:
         return (0,)
-    return next(
-        (e for e in _nested_orderings(s) if check_majorization(s, e).ok), None
-    )
+    e = _nested_ordering(s)
+    return e if e is not None and check_majorization(s, e).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ class LineWitness:
             coords.append(coords[-1] + g)
         return tuple(coords)
 
-    def distance_matrix(self, n=None):
+    def distance_matrix(self):
         n = len(self.ordering)
         coords = self.coordinates()
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -258,10 +251,7 @@ def _margin_lp(s, ordering):
     nvars = m + 1  # gaps, then t
 
     def coeffs_of(p, q):
-        v = [Fraction(0)] * nvars
-        for g in range(p, q):
-            v[g] = Fraction(1)
-        return v
+        return [int(p <= g < q) for g in range(nvars)]
 
     by_rank = {}
     for p in range(n):
@@ -270,9 +260,9 @@ def _margin_lp(s, ordering):
 
     constraints = []
     for g in range(m):
-        row = [Fraction(0)] * nvars
-        row[g] = Fraction(1)
-        row[m] = Fraction(-1)
+        row = [0] * nvars
+        row[g] = 1
+        row[m] = -1
         constraints.append((row, ">=", 0))
     for r, group in sorted(by_rank.items()):
         rep = coeffs_of(*group[0])
@@ -284,12 +274,12 @@ def _margin_lp(s, ordering):
         rep_lo = coeffs_of(*by_rank[lo][0])
         rep_hi = coeffs_of(*by_rank[hi][0])
         row = [a - b for a, b in zip(rep_hi, rep_lo)]
-        row[m] = Fraction(-1)
+        row[m] = -1
         constraints.append((row, ">=", 0))
-    total = [Fraction(1)] * m + [Fraction(0)]
+    total = [1] * m + [0]
     constraints.append((total, "==", 1))
 
-    objective = [Fraction(0)] * m + [Fraction(1)]
+    objective = [0] * m + [1]
     status, x, value = simplex.solve_lp(objective, constraints)
     if status == simplex.UNBOUNDED:
         raise SolverError("margin LP unbounded; constraint assembly is broken")
@@ -303,22 +293,21 @@ def _margin_lp(s, ordering):
 
 
 def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
-    """Exact 1-D embedding decision: walk the nested point orders (up to
-    reversal) and decide each by the margin LP.
+    """Exact 1-D embedding decision: build the one nested point order (up
+    to reversal) and decide it by the margin LP.
 
-    Floating point never enters: the screen is integer comparisons and the
-    LP is exact. Returns a verified LineWitness or None.
+    A line realization orders the points so that every pair nests inside
+    the pairs around it, so no other order needs testing. Floating point
+    never enters: the order is integer comparisons and the LP is exact.
+    Returns a verified LineWitness or None.
     """
     n = s.n
     if n > limit:
         raise SizeLimitError("embed_line", n, limit)
     if n == 1:
         return LineWitness((0,), (), Fraction(1))
-    for ordering in _nested_orderings(s):
-        witness = _margin_lp(s, ordering)
-        if witness is not None:
-            return witness
-    return None
+    ordering = _nested_ordering(s)
+    return None if ordering is None else _margin_lp(s, ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +446,7 @@ def majorization_consequences(s: OrdinalSpace, enumeration):
         return s.ranks[e[a]][e[b]]
 
     violated = []
-    nested = all(
-        rk(k, l) < rk(i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        for k in range(i, j + 1)
-        for l in range(k, j + 1)
-        if (k, l) != (i, j)
-    )
-    if not nested:
+    if not _is_nested(s, e):
         violated.append("nesting")
     rising = all(rk(0, t) < rk(0, t + 1) for t in range(1, n - 1))
     falling = all(rk(t, n - 1) > rk(t + 1, n - 1) for t in range(n - 2))

@@ -1,9 +1,14 @@
-"""Exact two-phase simplex over Fractions.
+"""Exact two-phase simplex on a fraction-free integer tableau.
 
 Small dense tableau solver for the margin programs in the line embedder.
-Bland's rule both for the entering column and ratio ties, so the iteration
-terminates; an iteration cap turns any remaining surprise into SolverError
-rather than a wrong answer.
+The tableau holds integers over one common positive denominator d, so the
+rational tableau is T / d. A pivot keeps the pivot row and maps every other
+row, the objective row included, to (p * row - f * pivot_row) / d, an exact
+division, after which the pivot element p is the new denominator (Edmonds
+1967; Bareiss 1968). The pivots are the ones a Fraction tableau would make:
+Bland's rule both for the entering column and ratio ties, ratios compared by
+integer cross-products, so the iteration terminates; an iteration cap turns
+any remaining surprise into SolverError rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -19,87 +24,90 @@ UNBOUNDED = "UNBOUNDED"
 _MAX_ITERS = 20000
 
 
+def _integer_row(values):
+    """The values as integers, scaled by the least positive factor that
+    clears their denominators; returns (row, factor)."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    from math import lcm
+
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def solve_lp(objective, constraints):
     """Maximize objective . x over x >= 0 subject to constraints.
 
-    objective: list of Fractions, one per variable.
+    objective: list of numbers (ints or Fractions), one per variable.
     constraints: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
-    Returns (status, x, value); x and value are None unless OPTIMAL.
+    Returns (status, x, value); x is a list of Fractions and value a
+    Fraction, both None unless OPTIMAL. A row with fractional coefficients
+    is scaled to integers by a positive factor, which keeps its feasible set.
     """
     nvars = len(objective)
     rows = []
     for coeffs, sense, rhs in constraints:
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
-        if len(coeffs) != nvars:
+        row, _ = _integer_row([*coeffs, rhs])
+        if len(row) != nvars + 1:
             raise ValueError("constraint width does not match objective")
-        if rhs < 0:
-            coeffs = [-v for v in coeffs]
-            rhs = -rhs
+        if row[-1] < 0:
+            row = [-v for v in row]
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        rows.append((coeffs, sense, rhs))
+        rows.append((row, sense))
 
-    m = len(rows)
-    ncols = nvars
-    slack_of = {}
-    for i, (_, sense, _) in enumerate(rows):
+    # columns: variables, then one slack per inequality, then one
+    # artificial per row without a "<=" slack to start the basis
+    nslack = sum(sense != "==" for _, sense in rows)
+    ncols = nvars + nslack + sum(sense != "<=" for _, sense in rows)
+    artificial = set(range(nvars + nslack, ncols))
+    slack, art = nvars, nvars + nslack
+    T, basis = [], []
+    for row, sense in rows:
+        t = row[:-1] + [0] * (ncols - nvars) + row[-1:]
         if sense != "==":
-            slack_of[i] = ncols
-            ncols += 1
-    art_of = {}
-    for i, (_, sense, _) in enumerate(rows):
-        if sense != "<=":
-            art_of[i] = ncols
-            ncols += 1
-
-    T = [[Fraction(0)] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, (coeffs, sense, rhs) in enumerate(rows):
-        for j, v in enumerate(coeffs):
-            T[i][j] = v
-        if i in slack_of:
-            T[i][slack_of[i]] = Fraction(1) if sense == "<=" else Fraction(-1)
-        if i in art_of:
-            T[i][art_of[i]] = Fraction(1)
-            basis[i] = art_of[i]
+            t[slack] = 1 if sense == "<=" else -1
+            slack += 1
+        if sense == "<=":
+            basis.append(slack - 1)
         else:
-            basis[i] = slack_of[i]
-        T[i][ncols] = rhs
-
-    artificial = set(art_of.values())
+            t[art] = 1
+            basis.append(art)
+            art += 1
+        T.append(t)
+    d = 1  # the identity starting basis has determinant 1
 
     if artificial:
-        phase1 = [Fraction(0)] * ncols
+        phase1 = [0] * ncols
         for j in artificial:
-            phase1[j] = Fraction(-1)
-        value = _run(T, basis, phase1, ncols, blocked=frozenset())
+            phase1[j] = -1
+        value, d = _run(T, basis, phase1, d, blocked=frozenset())
         if value is None or value < 0:
             return INFEASIBLE, None, None
-        _drive_out_artificials(T, basis, ncols, artificial)
+        d = _drive_out_artificials(T, basis, d, artificial)
 
-    cost = [Fraction(v) for v in objective] + [Fraction(0)] * (ncols - nvars)
-    value = _run(T, basis, cost, ncols, blocked=frozenset(artificial))
+    cost, scale = _integer_row(objective)
+    cost += [0] * (ncols - nvars)
+    value, d = _run(T, basis, cost, d, blocked=frozenset(artificial))
     if value is None:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * nvars
     for i, bi in enumerate(basis):
         if bi < nvars:
-            x[bi] = T[i][ncols]
-    return OPTIMAL, x, value
+            x[bi] = Fraction(T[i][-1], d)
+    return OPTIMAL, x, value / scale
 
 
-def _run(T, basis, cost, ncols, blocked):
-    """Simplex iterations for one phase; returns the optimal value or None
-    if unbounded."""
-    m = len(T)
-    obj = list(cost) + [Fraction(0)]
-    for i in range(m):
+def _run(T, basis, cost, d, blocked):
+    """Simplex iterations for one phase on the tableau T / d; returns the
+    optimal value as a Fraction (None if unbounded) and the denominator."""
+    ncols = len(cost)
+    obj = [d * c for c in cost] + [0]
+    for i, row in enumerate(T):
         cb = cost[basis[i]]
         if cb:
-            row = T[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    obj[j] -= cb * row[j]
+            obj = [o - cb * v for o, v in zip(obj, row)]
 
     for _ in range(_MAX_ITERS):
         entering = -1
@@ -108,51 +116,51 @@ def _run(T, basis, cost, ncols, blocked):
                 entering = j
                 break
         if entering < 0:
-            return -obj[ncols]
+            return Fraction(-obj[-1], d), d
+        # min ratio rhs / entry over positive entries; d > 0 cancels out
         leaving = -1
-        best = None
-        for i in range(m):
-            tie = T[i][entering]
-            if tie > 0:
-                ratio = T[i][ncols] / tie
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                here = row[-1] * T[leaving][entering]
+                best = T[leaving][-1] * a
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
-            return None
-        _pivot(T, basis, obj, leaving, entering, ncols)
+            return None, d
+        obj, d = _pivot(T, basis, obj, leaving, entering, d)
     raise SolverError("simplex iteration cap exceeded")
 
 
-def _pivot(T, basis, obj, leaving, entering, ncols):
-    row = T[leaving]
-    piv = row[entering]
-    for j in range(ncols + 1):
-        row[j] /= piv
-    for i in range(len(T)):
-        if i == leaving:
-            continue
-        f = T[i][entering]
-        if f:
-            ri = T[i]
-            for j in range(ncols + 1):
-                if row[j]:
-                    ri[j] -= f * row[j]
-    f = obj[entering]
-    if f:
-        for j in range(ncols + 1):
-            if row[j]:
-                obj[j] -= f * row[j]
+def _pivot(T, basis, obj, leaving, entering, d):
+    """Fraction-free pivot; returns the updated objective row (or None) and
+    the new denominator p. A negative pivot (only ever met driving out an
+    artificial) negates the pivot row first; that negates every row of the
+    result, which keeps d > 0 and the rational tableau unchanged."""
+    prow = T[leaving]
+    p = prow[entering]
+    if p < 0:
+        T[leaving] = prow = [-v for v in prow]
+        p = -p
+    for i, row in enumerate(T):
+        if i != leaving:
+            f = row[entering]
+            T[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+    if obj is not None:
+        f = obj[entering]
+        obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
     basis[leaving] = entering
+    return obj, p
 
 
-def _drive_out_artificials(T, basis, ncols, artificial):
+def _drive_out_artificials(T, basis, d, artificial):
     """Swap basic zero-level artificials for real columns; redundant rows
-    (all-zero on real columns) are neutralized in place."""
+    (all-zero on real columns) are neutralized in place. Returns the new
+    denominator."""
+    ncols = len(T[0]) - 1
     for i in range(len(T)):
         if basis[i] not in artificial:
             continue
@@ -163,9 +171,8 @@ def _drive_out_artificials(T, basis, ncols, artificial):
                 break
         if pivot_col < 0:
             # redundant constraint; clear the row so it can never pivot
-            for j in range(ncols + 1):
-                T[i][j] = Fraction(0)
+            T[i] = [0] * (ncols + 1)
             continue
-        dummy = [Fraction(0)] * (ncols + 1)
-        _pivot(T, basis, dummy, i, pivot_col, ncols)
+        _, d = _pivot(T, basis, None, i, pivot_col, d)
     # artificial columns are blocked from entering afterwards
+    return d

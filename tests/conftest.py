@@ -4,10 +4,17 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import settings
+
 from ordspace.formats import parse_hasse, parse_rank_matrix
 from ordspace.space import DistanceMatrix, OrdinalSpace, all_pairs, ordinal_type
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# property tests draw the same examples on every run, and a slow example is
+# never a failure; each test keeps its own max_examples
+settings.register_profile("default", derandomize=True, deadline=None)
+settings.load_profile("default")
 
 
 def fixture_text(name):

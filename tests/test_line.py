@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIXTURES,
     collinear,
+    fixture_text,
     load_space,
     random_space,
     relabel,
@@ -18,6 +21,7 @@ from conftest import (
 )
 from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
+from ordspace.formats import parse_distance_csv
 from ordspace.line import (
     NOT_EMBEDDABLE,
     IndexSequence,
@@ -174,6 +178,120 @@ def test_embed_line_witness_is_first_realizable_ordering():
         assert (w and w.ordering) == first_realizable_ordering(s), s
         found += w is not None
     assert 0 < found < len(spaces)
+
+
+GOLDEN_WITNESSES = {
+    "seven_line.csv": (
+        "LineWitness(ordering=(0, 1, 2, 3, 4, 5, 6), gaps=(Fraction(7, 58), "
+        "Fraction(3, 29), Fraction(15, 58), Fraction(5, 58), Fraction(11, 58), "
+        "Fraction(7, 29)), margin=Fraction(1, 58))"
+    ),
+    "min4.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 7), "
+        "Fraction(2, 7), Fraction(4, 7)), margin=Fraction(1, 7))"
+    ),
+    "case_d1.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 4), "
+        "Fraction(1, 2), Fraction(1, 4)), margin=Fraction(1, 4))"
+    ),
+    "case_d2.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 3), "
+        "Fraction(1, 3), Fraction(1, 3)), margin=Fraction(1, 3))"
+    ),
+    "case_d3.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(2, 5), "
+        "Fraction(1, 5), Fraction(2, 5)), margin=Fraction(1, 5))"
+    ),
+    "case_d4.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(4, 7), "
+        "Fraction(2, 7), Fraction(1, 7)), margin=Fraction(1, 7))"
+    ),
+    "case_d5.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(3, 5), "
+        "Fraction(1, 5), Fraction(1, 5)), margin=Fraction(1, 5))"
+    ),
+    "case_d6.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(4, 7), "
+        "Fraction(1, 7), Fraction(2, 7)), margin=Fraction(1, 7))"
+    ),
+    "case_d7.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 2), "
+        "Fraction(1, 3), Fraction(1, 6)), margin=Fraction(1, 6))"
+    ),
+    "case_d8.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 2), "
+        "Fraction(1, 4), Fraction(1, 4)), margin=Fraction(1, 4))"
+    ),
+    "case_d9.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 2), "
+        "Fraction(1, 6), Fraction(1, 3)), margin=Fraction(1, 6))"
+    ),
+    "case_d10.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(4, 9), "
+        "Fraction(1, 3), Fraction(2, 9)), margin=Fraction(1, 9))"
+    ),
+    "case_d11.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(3, 7), "
+        "Fraction(2, 7), Fraction(2, 7)), margin=Fraction(1, 7))"
+    ),
+    "case_d12.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(4, 9), "
+        "Fraction(2, 9), Fraction(1, 3)), margin=Fraction(1, 9))"
+    ),
+    "case_d13.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(2, 5), "
+        "Fraction(2, 5), Fraction(1, 5)), margin=Fraction(1, 5))"
+    ),
+    "case_d15.ord": (
+        "LineWitness(ordering=(0, 1, 2, 3), gaps=(Fraction(1, 3), "
+        "Fraction(1, 2), Fraction(1, 6)), margin=Fraction(1, 6))"
+    ),
+}
+
+GOLDEN_ENUMERATIONS = {
+    **{f"case_{tag}.ord": (0, 1, 2, 3) for tag in CASE_TAGS},
+    "min3.ord": (0, 1, 2),
+    "min4.ord": (0, 1, 2, 3),
+    "allequal5.ord": None,
+    "seven_swap.ord": None,
+    "table6.ord": None,
+    "tree5_a.ord": None,
+    "tree5_b.ord": None,
+    "twomax3.ord": None,
+}
+
+
+def test_embed_line_golden_witnesses():
+    assert {p.name for p in FIXTURES.glob("case_d*.ord")} < set(GOLDEN_WITNESSES)
+    for name, expected in GOLDEN_WITNESSES.items():
+        if name.endswith(".csv"):
+            s = ordinal_type(parse_distance_csv(fixture_text(name)))
+        else:
+            s = load_space(name)
+        assert repr(embed_line(s)) == expected, name
+
+
+def test_find_majorizing_enumeration_golden():
+    assert {p.name for p in FIXTURES.glob("*.ord")} == set(GOLDEN_ENUMERATIONS)
+    for name, expected in GOLDEN_ENUMERATIONS.items():
+        assert find_majorizing_enumeration(load_space(name)) == expected, name
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=6),
+        min_size=2,
+        max_size=8,
+        unique=True,
+    )
+)
+def test_collinear_points_embed_in_their_order(xs):
+    # a false "infeasible" from the LP would slip past witness re-verification
+    w = embed_line(collinear(*xs))
+    assert w is not None
+    order = tuple(sorted(range(len(xs)), key=xs.__getitem__))
+    assert w.ordering in (order, order[::-1])
 
 
 def embeddable_fixture_spaces():
@@ -334,3 +452,14 @@ def test_conjecture_probe_on_line_like_sample():
     assert report["majorizing"] >= 12
     assert report["embeddable"] >= 12
     assert report["must_hold_failures"] == []
+
+
+def test_conjecture_probe_on_injective_five_point_census():
+    report = probe_majorization_conjecture(enumerate_spaces(5, CensusFilter.INJECTIVE))
+    assert report == {
+        "tested": 30240,
+        "majorizing": 57,
+        "embeddable": 57,
+        "must_hold_failures": [],
+        "conjecture_counterexamples": [],
+    }
