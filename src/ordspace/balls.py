@@ -3,13 +3,18 @@
 A ball is determined by a center and a cut of that center's rank spectrum:
 member set {x : rank(c, x) <= t} for t running over the spectrum values.
 Ball identity in a BallSet is the member set; provenance keeps every
-(center, threshold) that produced it.
+(center, threshold) that produced it. One bitmask kernel, `_cuts`, gives
+each cut as an integer whose bit x is point x; `ball_set` and the census's
+ball counts read it, and `hasse` finds covers with bitsets over the balls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .errors import SizeLimitError, ValidationError
 from .space import OrdinalSpace
@@ -43,12 +48,6 @@ class BallSet:
     def as_sets(self):
         return set(self.members)
 
-    def provenance_of(self, member_set):
-        for m, prov in zip(self.members, self.provenance):
-            if m == frozenset(member_set):
-                return prov
-        raise KeyError(f"{member_set} is not a ball")
-
 
 @dataclass(frozen=True)
 class HasseDiagram:
@@ -69,21 +68,6 @@ class HasseDiagram:
             raise ValidationError("duplicate arcs")
         if self._topo_levels() is None:
             raise ValidationError("arcs must form an acyclic digraph")
-
-    def out_neighbors(self, u):
-        return [v for (a, v) in self.arcs if a == u]
-
-    def in_degree_sequence(self):
-        deg = [0] * len(self.vertices)
-        for _, v in self.arcs:
-            deg[v] += 1
-        return deg
-
-    def out_degree_sequence(self):
-        deg = [0] * len(self.vertices)
-        for u, _ in self.arcs:
-            deg[u] += 1
-        return deg
 
     def _topo_levels(self):
         """Longest-path-from-a-source level per vertex; None on a cycle."""
@@ -109,10 +93,12 @@ class HasseDiagram:
     def invariants(self):
         """Per-vertex (in-degree, out-degree, source level): the refinement
         used to cut the isomorphism search."""
-        lv = self._topo_levels()
-        ind = self.in_degree_sequence()
-        outd = self.out_degree_sequence()
-        return [(ind[i], outd[i], lv[i]) for i in range(len(self.vertices))]
+        m = len(self.vertices)
+        ind, outd = [0] * m, [0] * m
+        for u, v in self.arcs:
+            outd[u] += 1
+            ind[v] += 1
+        return list(zip(ind, outd, self._topo_levels()))
 
 
 def spectrum(s: OrdinalSpace, center: int):
@@ -131,36 +117,57 @@ def balls_at(s: OrdinalSpace, center: int):
     return chain
 
 
+def _cuts(row):
+    """The balls at one center as {threshold: member mask}, ascending: the
+    row sorted by rank, prefixes ORed; a tied rank keeps the longest one."""
+    cuts, mask = {}, 0
+    for x in sorted(range(len(row)), key=row.__getitem__):
+        mask |= 1 << x
+        cuts[row[x]] = mask
+    return cuts
+
+
+def _ball_count(rows):
+    return len({mask for row in rows for mask in _cuts(row).values()})
+
+
+def _bits(mask):
+    """Positions of the set bits, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def ball_set(s: OrdinalSpace) -> BallSet:
-    by_members = {}
-    for c in range(s.n):
-        for b in balls_at(s, c):
-            by_members.setdefault(frozenset(b.members), []).append(
-                (b.center, b.threshold)
-            )
-    order = sorted(by_members, key=lambda m: (len(m), sorted(m)))
+    by_mask = {}
+    for c, row in enumerate(s.ranks):
+        for t, mask in _cuts(row).items():
+            by_mask.setdefault(mask, []).append((c, t))
+    order = sorted(by_mask, key=lambda m: (m.bit_count(), tuple(_bits(m))))
     return BallSet(
         n=s.n,
-        members=tuple(order),
-        provenance=tuple(tuple(sorted(by_members[m])) for m in order),
+        members=tuple(frozenset(_bits(m)) for m in order),
+        provenance=tuple(tuple(by_mask[m]) for m in order),
     )
 
 
 def hasse(bs: BallSet) -> HasseDiagram:
-    """Covering digraph of the ball family under set inclusion."""
-    sets = list(bs.members)
-    m = len(sets)
-    idx = range(m)
-    below = [[sets[a] < sets[b] for b in idx] for a in idx]
+    """Covering digraph of the ball family under set inclusion. Bit b of
+    holders[x] says ball b contains point x, so ANDing them over a ball's
+    points gives the balls containing it. Its covers are its strict
+    supersets minus the supersets of its supersets."""
+    sets = bs.members
+    holders = {}
+    for b, members in enumerate(sets):
+        for x in members:
+            holders[x] = holders.get(x, 0) | 1 << b
+    full = (1 << len(sets)) - 1
+    above = [reduce(and_, map(holders.get, m), full) & ~(1 << a) for a, m in enumerate(sets)]
     arcs = []
-    for a in idx:
-        for b in idx:
-            if not below[a][b]:
-                continue
-            if any(below[a][c] and below[c][b] for c in idx):
-                continue
-            arcs.append((a, b))
-    return HasseDiagram(tuple(sets), tuple(sorted(arcs)))
+    for a, up in enumerate(above):
+        covers = up & ~reduce(or_, map(above.__getitem__, _bits(up)), 0)
+        arcs.extend((a, b) for b in _bits(covers))
+    return HasseDiagram(tuple(sets), tuple(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +199,7 @@ def find_hasse_isomorphism(
         adj_b[u][v] = True
 
     # map rarest invariant classes first
-    freq = {}
-    for t in inv_a:
-        freq[t] = freq.get(t, 0) + 1
+    freq = Counter(inv_a)
     order = sorted(range(ma), key=lambda i: (freq[inv_a[i]], inv_a[i], i))
     image = [-1] * ma
     used = [False] * mb
@@ -253,21 +258,18 @@ def ball_preserving_bijection(
     return None
 
 
-def hasse_dot(h: HasseDiagram, names=None) -> str:
+def hasse_dot(h: HasseDiagram) -> str:
     """Deterministic DOT rendering; set-valued vertices get {x1,x2} labels."""
     lines = ["digraph hasse {"]
     for i, v in enumerate(h.vertices):
-        lines.append(f'  v{i} [label="{_vertex_label(v, names)}"];')
+        lines.append(f'  v{i} [label="{_vertex_label(v)}"];')
     for u, v in sorted(h.arcs):
         lines.append(f"  v{u} -> v{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _vertex_label(v, names):
+def _vertex_label(v):
     if isinstance(v, frozenset):
-        if names is None:
-            names = {}
-        parts = [names.get(p, f"x{p + 1}") for p in sorted(v)]
-        return "{" + ",".join(parts) + "}"
+        return "{" + ",".join(f"x{p + 1}" for p in sorted(v)) + "}"
     return str(v)

@@ -10,7 +10,10 @@ some point relabeling already makes lexicographically smaller, so each
 isomorphism class is emitted exactly once, as its canonical (lex-minimal)
 level vector, in sorted order. Nothing is deduplicated afterwards. A
 census report enumerates once and reads the class count, both ball
-extremes and the line-embeddable count off that one tuple.
+extremes and the line-embeddable count off that one tuple of level
+vectors. The bitmask kernel of `balls` counts balls on their rank rows;
+`OrdinalSpace` objects are built only for the witnesses and, at n <= 4,
+for the line-embeddable count.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
-from .balls import ball_set, hasse, hasse_isomorphic
+from .balls import _ball_count, ball_set, hasse, hasse_isomorphic
 from .errors import SizeLimitError, ValidationError
 from .line import NOT_EMBEDDABLE, classify_four_point, embed_line
 from .space import OrdinalSpace, _pair_perms, all_pairs
@@ -101,25 +105,24 @@ def _orderly_levels(n, injective):
     return out
 
 
-def _space_from_levels(n, levels):
-    ranks = [[0] * n for _ in range(n)]
-    for (a, b), v in zip(all_pairs(n), levels):
-        ranks[a][b] = ranks[b][a] = v
-    return OrdinalSpace(n, max(levels), tuple(tuple(r) for r in ranks))
+def _ball_counts(n, levels):
+    """Ball count of each level vector. Row c of the rank matrix is read out
+    of (0,) + vector, where position 0 stands for the center itself."""
+    if n == 1:
+        return [1] * len(levels)  # a one-index itemgetter returns no tuple
+    at = {}
+    for t, (a, b) in enumerate(all_pairs(n), start=1):
+        at[a, b] = at[b, a] = t
+    rows = [itemgetter(*(at.get((c, x), 0) for x in range(n))) for c in range(n)]
+    return [_ball_count([row((0,) + lv) for row in rows]) for lv in levels]
 
 
 def _all_allowed(n, huge):
     return n <= 4 or (n == 5 and huge)
 
 
-def enumerate_spaces(
-    n: int,
-    filt: CensusFilter = CensusFilter.ALL,
-    huge: bool = False,
-):
-    """All isomorphism classes on n points, canonical representatives in
-    sorted order. ALL needs n <= 4 (n = 5 only with huge=True: 856,608
-    classes); INJECTIVE (all pair ranks distinct) needs n <= 5."""
+def _census_levels(n, filt, huge):
+    """The level vectors behind `enumerate_spaces`, under its guards."""
     if n < 1:
         raise ValidationError("need at least one point")
     if filt is CensusFilter.ALL:
@@ -127,10 +130,14 @@ def enumerate_spaces(
             raise SizeLimitError("census ALL points", n, 5 if huge else 4)
     elif n > 5:
         raise SizeLimitError("census INJECTIVE points", n, 5)
-    if n == 1:
-        return (OrdinalSpace(1, 0, ((0,),)),)
-    injective = filt is CensusFilter.INJECTIVE
-    return tuple(_space_from_levels(n, lv) for lv in _orderly_levels(n, injective))
+    return ((),) if n == 1 else _orderly_levels(n, filt is CensusFilter.INJECTIVE)
+
+
+def enumerate_spaces(n: int, filt: CensusFilter = CensusFilter.ALL, huge: bool = False):
+    """All isomorphism classes on n points, canonical representatives in
+    sorted order. ALL needs n <= 4 (n = 5 only with huge=True: 856,608
+    classes); INJECTIVE (all pair ranks distinct) needs n <= 5."""
+    return tuple(OrdinalSpace.from_levels(n, lv) for lv in _census_levels(n, filt, huge))
 
 
 def burnside_count(n: int, filt: CensusFilter = CensusFilter.ALL) -> int:
@@ -179,34 +186,30 @@ class BallExtremes:
     matches_triangular: Verdict
 
 
-def _extremes(n, spaces, full):
-    """Ball extremes over one enumeration in sorted order: the maximum
+def _verdict(got, expected):
+    if got is None or expected is None:
+        return Verdict.UNTESTED
+    return Verdict.MATCH if got == expected else Verdict.MISMATCH
+
+
+def _extremes(n, levels, full):
+    """Ball extremes over one enumeration's sorted level vectors: the maximum
     needs every class (full), the minimum reads the injective-rank classes
     among them. The first class attaining an extreme is its witness."""
-    counts = [len(ball_set(s)) for s in spaces]
+    counts = _ball_counts(n, levels)
     max_balls = max_witness = min_balls = min_witness = None
     if full:
         max_balls = max(counts)
-        max_witness = spaces[counts.index(max_balls)]
+        max_witness = OrdinalSpace.from_levels(n, levels[counts.index(max_balls)])
     p = n * (n - 1) // 2
-    injective = [i for i, s in enumerate(spaces) if s.k == p]
-    if n >= 2 and injective:
+    injective = [i for i, lv in enumerate(levels) if n >= 2 and max(lv) == p]
+    if injective:
         i = min(injective, key=counts.__getitem__)
-        min_balls, min_witness = counts[i], spaces[i]
-    if max_balls is None or n > len(A263511_PREFIX):
-        v_max = Verdict.UNTESTED
-    elif max_balls == A263511_PREFIX[n - 1]:
-        v_max = Verdict.MATCH
-    else:
-        v_max = Verdict.MISMATCH
-    if min_balls is None:
-        v_min = Verdict.UNTESTED
-    elif min_balls == triangular(n):
-        v_min = Verdict.MATCH
-    else:
-        v_min = Verdict.MISMATCH
+        min_balls, min_witness = counts[i], OrdinalSpace.from_levels(n, levels[i])
+    prefix = A263511_PREFIX[n - 1] if n <= len(A263511_PREFIX) else None
     return BallExtremes(
-        n, max_balls, max_witness, min_balls, min_witness, v_max, v_min
+        n, max_balls, max_witness, min_balls, min_witness,
+        _verdict(max_balls, prefix), _verdict(min_balls, triangular(n)),
     )
 
 
@@ -215,12 +218,11 @@ def ball_extremes(n: int, huge: bool = False) -> BallExtremes:
     prefix, the minimum over injective-rank classes against n(n+1)/2.
     Whatever the guards block stays UNTESTED."""
     full = _all_allowed(n, huge)
-    filt = CensusFilter.ALL if full else CensusFilter.INJECTIVE
     try:
-        spaces = enumerate_spaces(n, filt, huge=huge)
+        levels = _census_levels(n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge)
     except SizeLimitError:
-        spaces = ()
-    return _extremes(n, spaces, full)
+        levels = ()
+    return _extremes(n, levels, full)
 
 
 def _count_line_embeddable(n, spaces):
@@ -271,16 +273,13 @@ def minimal_hasse_shape_probe(n: int, reference) -> HasseShapeReport:
     if n not in (3, 4):
         raise ValidationError("shape probe covers n = 3 and 4")
     spaces = enumerate_spaces(n, CensusFilter.INJECTIVE)
-    counts = [(len(ball_set(s)), s) for s in spaces]
+    counts = [(_ball_count(s.ranks), s) for s in spaces]
     minimum = min(c for c, _ in counts)
     min_att = [s for c, s in counts if c == minimum]
     bound_att = [s for c, s in counts if c == triangular(n)]
-    min_match = sum(
-        hasse_isomorphic(hasse(ball_set(s)), reference) for s in min_att
-    )
-    mismatches = tuple(
-        s for s in bound_att if not hasse_isomorphic(hasse(ball_set(s)), reference)
-    )
+    matches = lambda s: hasse_isomorphic(hasse(ball_set(s)), reference)
+    min_match = sum(map(matches, min_att))
+    mismatches = tuple(s for s in bound_att if not matches(s))
     return HasseShapeReport(
         n=n,
         min_balls=minimum,
@@ -315,11 +314,9 @@ def census_report(
     times = {}
     t0 = time.perf_counter()
     full = filt is CensusFilter.ALL or _all_allowed(n, huge)
-    spaces = enumerate_spaces(
-        n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge=huge
-    )
+    levels = _census_levels(n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge)
     p = n * (n - 1) // 2
-    classes = spaces if filt is CensusFilter.ALL else [s for s in spaces if s.k == p]
+    classes = [lv for lv in levels if filt is CensusFilter.ALL or max(lv, default=0) == p]
     times["enumerate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     expected = burnside_count(n, filt)
@@ -329,12 +326,12 @@ def census_report(
             f"enumeration found {len(classes)} classes, orbit count says {expected}"
         )
     t0 = time.perf_counter()
-    extremes = _extremes(n, spaces, full)
+    extremes = _extremes(n, levels, full)
     times["extremes"] = time.perf_counter() - t0
     r1 = None
     if filt is CensusFilter.ALL and n <= 4:
         t0 = time.perf_counter()
-        r1 = _count_line_embeddable(n, spaces)
+        r1 = _count_line_embeddable(n, [OrdinalSpace.from_levels(n, lv) for lv in levels])
         times["r1"] = time.perf_counter() - t0
     return CensusReport(
         n=n,

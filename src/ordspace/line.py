@@ -350,27 +350,26 @@ CASE_TAGS = (
 def classify_four_point(s: OrdinalSpace):
     """Line-embeddability case tag of a 4-point space, or None.
 
-    Scans the 24 enumerations for the characteristic pattern: the chain
-    d12 < d13 < d14 > d24 > d34 with d23 below both d13 and d24, plus the
-    cross conditions (d13 < d24 iff d12 < d34) and (d13 = d24 iff
-    d12 = d34). The first matching enumeration determines the tag; a
-    mirror-* tag marks the reversed orientation (d13 < d24).
+    An enumeration matches the characteristic pattern when its ranks form
+    the chain d12 < d13 < d14 > d24 > d34 with d23 below d13 and d24, and
+    d13 compares with d24 as d12 does with d34. The chain is the nesting
+    condition, so only the one nested ordering can match; of it and its
+    reversal (both match or neither) it is the first of the 24 in order.
+    Its tag is returned; a mirror-* tag marks d13 < d24.
     """
     if s.n != 4:
         raise ValidationError("four-point classification needs exactly 4 points")
-    for e in itertools.permutations(range(4)):
-        d = lambda i, j: s.ranks[e[i - 1]][e[j - 1]]
-        d12, d13, d14 = d(1, 2), d(1, 3), d(1, 4)
-        d23, d24, d34 = d(2, 3), d(2, 4), d(3, 4)
-        if not (d12 < d13 < d14 and d14 > d24 > d34 and d23 < d13 and d23 < d24):
-            continue
-        if (d13 < d24) != (d12 < d34) or (d13 == d24) != (d12 == d34):
-            continue
-        if d13 >= d24:
-            return _pattern_tag(d12, d13, d23, d24, d34)
-        # reversing the enumeration swaps d12 with d34 and d13 with d24
-        return "mirror-" + _pattern_tag(d34, d24, d23, d13, d12)
-    return NOT_EMBEDDABLE
+    e = _nested_ordering(s)
+    if e is None:
+        return NOT_EMBEDDABLE
+    d = lambda i, j: s.ranks[e[i - 1]][e[j - 1]]
+    d12, d13, d23, d24, d34 = d(1, 2), d(1, 3), d(2, 3), d(2, 4), d(3, 4)
+    if _cmp_name(d13, d24) != _cmp_name(d12, d34):
+        return NOT_EMBEDDABLE
+    if d13 >= d24:
+        return _pattern_tag(d12, d13, d23, d24, d34)
+    # reversing the enumeration swaps d12 with d34 and d13 with d24
+    return "mirror-" + _pattern_tag(d34, d24, d23, d13, d12)
 
 
 # ---------------------------------------------------------------------------

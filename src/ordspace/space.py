@@ -85,6 +85,14 @@ class OrdinalSpace:
         k = max((v for row in rows for v in row), default=0)
         return OrdinalSpace(n, k, tuple(tuple(r) for r in rows))
 
+    @staticmethod
+    def from_levels(n, levels):
+        """The space whose pair ranks, in all_pairs order, are levels."""
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(all_pairs(n), levels):
+            rows[i][j] = rows[j][i] = v
+        return OrdinalSpace(n, max(levels, default=0), tuple(tuple(r) for r in rows))
+
     def rank(self, x, y):
         return self.ranks[x][y]
 
@@ -327,10 +335,7 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
             indeg[b] -= 1
 
     level_of_root = {r: lvl + 1 for lvl, r in enumerate(order)}
-    rows = [[0] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(pairs):
-        rows[i][j] = rows[j][i] = level_of_root[find(idx)]
-    return OrdinalSpace(n, len(order), tuple(tuple(r) for r in rows))
+    return OrdinalSpace.from_levels(n, [level_of_root[find(i)] for i in range(len(pairs))])
 
 
 def _find_cycle(nodes, succ):
@@ -422,11 +427,7 @@ def canonical_form(s: OrdinalSpace, limit: int = DEFAULT_PERM_LIMIT) -> OrdinalS
         raise SizeLimitError("canonical_form", s.n, limit)
     if s.n == 1:
         return s
-    best = canonical_level_vector(s.level_vector(), s.n)
-    rows = [[0] * s.n for _ in range(s.n)]
-    for t, (i, j) in enumerate(all_pairs(s.n)):
-        rows[i][j] = rows[j][i] = best[t]
-    return OrdinalSpace(s.n, s.k, tuple(tuple(r) for r in rows))
+    return OrdinalSpace.from_levels(s.n, canonical_level_vector(s.level_vector(), s.n))
 
 
 def find_isomorphism(a: OrdinalSpace, b: OrdinalSpace):

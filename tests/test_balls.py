@@ -1,11 +1,27 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import collinear, load_hasse, load_space, random_space, relabel
+from conftest import (
+    FIXTURES,
+    collinear,
+    load_hasse,
+    load_space,
+    random_space,
+    relabel,
+    space_from_values,
+)
+from ordspace import cli
 from ordspace.balls import (
+    BallSet,
+    HasseDiagram,
+    _ball_count,
     ball_preserving_bijection,
     ball_set,
     balls_at,
@@ -15,7 +31,7 @@ from ordspace.balls import (
     hasse_isomorphic,
     spectrum,
 )
-from ordspace.census import CensusFilter, enumerate_spaces
+from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
 from ordspace.errors import ValidationError
 from ordspace.space import DistanceMatrix, is_isomorphic, ordinal_type, realize
 
@@ -178,3 +194,94 @@ def test_dot_output_is_stable_and_labeled():
     out = hasse_dot(h)
     assert out == hasse_dot(h)
     assert '"{x1,x2}"' in out and out.startswith("digraph hasse {")
+
+
+# ---------------------------------------------------------------------------
+# the bitmask kernel against the set-based definitions it replaced
+
+
+def chain_ball_set(s):
+    """Ball set read off the ball chains of balls_at, one frozenset each."""
+    by_members = {}
+    for c in range(s.n):
+        for b in balls_at(s, c):
+            by_members.setdefault(frozenset(b.members), []).append(
+                (b.center, b.threshold)
+            )
+    order = sorted(by_members, key=lambda m: (len(m), sorted(m)))
+    return BallSet(
+        n=s.n,
+        members=tuple(order),
+        provenance=tuple(tuple(sorted(by_members[m])) for m in order),
+    )
+
+
+def cubic_hasse(bs):
+    """Covering digraph by definition: a < b with no c strictly between."""
+    sets = list(bs.members)
+    idx = range(len(sets))
+    below = [[sets[a] < sets[b] for b in idx] for a in idx]
+    arcs = [
+        (a, b)
+        for a in idx
+        for b in idx
+        if below[a][b] and not any(below[a][c] and below[c][b] for c in idx)
+    ]
+    return HasseDiagram(tuple(sets), tuple(sorted(arcs)))
+
+
+@st.composite
+def tied_spaces(draw):
+    """A space on 1-7 points, with distinct ranks or ties from a few levels."""
+    n = draw(st.integers(1, 7))
+    p = n * (n - 1) // 2
+    if draw(st.booleans()):
+        return space_from_values(n, draw(st.permutations(range(p))))
+    levels = draw(st.integers(1, max(p, 1)))
+    return space_from_values(
+        n, draw(st.lists(st.integers(1, levels), min_size=p, max_size=p))
+    )
+
+
+@settings(max_examples=300)
+@given(tied_spaces())
+def test_ball_set_and_hasse_match_the_set_definitions(s):
+    bs = ball_set(s)
+    assert repr(bs) == repr(chain_ball_set(s))
+    assert hasse(bs) == cubic_hasse(bs)
+    assert _ball_count(s.ranks) == len(bs)
+
+
+def test_ball_counts_match_ball_set_on_census_classes():
+    cases = [(n, f) for n in (1, 2, 3, 4) for f in CensusFilter]
+    cases.append((5, CensusFilter.INJECTIVE))
+    for n, filt in cases:
+        spaces = enumerate_spaces(n, filt)
+        expected = [len(ball_set(s)) for s in spaces]
+        assert [_ball_count(s.ranks) for s in spaces] == expected
+        assert _ball_counts(n, [s.level_vector() for s in spaces]) == expected
+
+
+def _cli_output(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(a) for a in args])
+    return code, out.getvalue()
+
+
+def test_balls_and_hasse_commands_match_the_set_definitions(monkeypatch):
+    runs = [
+        (command, path, *extra)
+        for path in sorted(FIXTURES.glob("*.ord"))
+        for command, extra in (
+            ("balls", ()),
+            ("balls", ("--format", "json")),
+            ("hasse", ()),
+            ("hasse", ("--format", "json")),
+            ("hasse", ("--dot",)),
+        )
+    ]
+    got = [_cli_output(*args) for args in runs]
+    monkeypatch.setattr(cli, "ball_set", chain_ball_set)
+    monkeypatch.setattr(cli, "hasse", cubic_hasse)
+    assert got == [_cli_output(*args) for args in runs]

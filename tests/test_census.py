@@ -1,6 +1,8 @@
 """Exhaustive enumeration by isomorphism class and the conjecture reports."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -202,3 +204,10 @@ def test_census_classes_pairwise_nonisomorphic_n3():
     # every relabeling lands back on its representative
     for s in spaces:
         assert canonical_form(relabel(s, (2, 0, 1))) == s
+
+
+def test_census_import_loads_no_numpy():
+    # numpy alone adds about 12 MB to a census run's peak memory
+    code = "import sys, ordspace.census; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -36,6 +36,7 @@ from ordspace.line import (
     interval_ranks,
     majorization_consequences,
     _margin_lp,
+    _pattern_tag,
     probe_majorization_conjecture,
     profile_equivalence_report,
     profile_necessary_check,
@@ -374,6 +375,40 @@ def test_classify_agrees_with_embed_line_on_samples():
         tag = classify_four_point(s)
         witness = embed_line(s)
         assert (tag is not NOT_EMBEDDABLE) == (witness is not None)
+
+
+def permutation_scan_tag(s):
+    """Four-point tag by scanning all 24 enumerations for the pattern."""
+    for e in itertools.permutations(range(4)):
+        d = lambda i, j: s.ranks[e[i - 1]][e[j - 1]]
+        d12, d13, d14 = d(1, 2), d(1, 3), d(1, 4)
+        d23, d24, d34 = d(2, 3), d(2, 4), d(3, 4)
+        if not (d12 < d13 < d14 and d14 > d24 > d34 and d23 < d13 and d23 < d24):
+            continue
+        if (d13 < d24) != (d12 < d34) or (d13 == d24) != (d12 == d34):
+            continue
+        if d13 >= d24:
+            return _pattern_tag(d12, d13, d23, d24, d34)
+        return "mirror-" + _pattern_tag(d34, d24, d23, d13, d12)
+    return NOT_EMBEDDABLE
+
+
+def test_classify_four_point_matches_permutation_scan_on_raw_assignments():
+    raw = [
+        v for v in itertools.product(range(1, 7), repeat=6)
+        if set(v) == set(range(1, max(v) + 1))
+    ]
+    assert len(raw) == 4683
+    for v in raw:
+        s = space_from_values(4, v)
+        assert classify_four_point(s) == permutation_scan_tag(s)
+
+
+def test_classify_four_point_agrees_with_embed_line_on_every_class():
+    spaces = enumerate_spaces(4, CensusFilter.ALL)
+    assert len(spaces) == 225
+    for s in spaces:
+        assert (classify_four_point(s) is not NOT_EMBEDDABLE) == (embed_line(s) is not None)
 
 
 def test_reverse_symmetry_of_full_check():
