@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from .errors import SizeLimitError, ValidationError
 from .space import OrdinalSpace
@@ -152,10 +152,12 @@ def ball_set(s: OrdinalSpace) -> BallSet:
 
 
 def hasse(bs: BallSet) -> HasseDiagram:
-    """Covering digraph of the ball family under set inclusion. Bit b of
-    holders[x] says ball b contains point x, so ANDing them over a ball's
-    points gives the balls containing it. Its covers are its strict
-    supersets minus the supersets of its supersets."""
+    """Covering digraph of the ball family under set inclusion; needs the
+    members sorted by size, as `ball_set` gives them. Bit b of holders[x]
+    says ball b contains point x, so ANDing them over a ball's points gives
+    its strict supersets. The lowest-index one left is a cover, and taking
+    it removes it and its own supersets: a ball strictly between would come
+    first and, taken or removed, would have removed it."""
     sets = bs.members
     holders = {}
     for b, members in enumerate(sets):
@@ -165,8 +167,10 @@ def hasse(bs: BallSet) -> HasseDiagram:
     above = [reduce(and_, map(holders.get, m), full) & ~(1 << a) for a, m in enumerate(sets)]
     arcs = []
     for a, up in enumerate(above):
-        covers = up & ~reduce(or_, map(above.__getitem__, _bits(up)), 0)
-        arcs.extend((a, b) for b in _bits(covers))
+        while up:
+            b = (up & -up).bit_length() - 1
+            arcs.append((a, b))
+            up &= ~(1 << b | above[b])
     return HasseDiagram(tuple(sets), tuple(arcs))
 
 

@@ -11,9 +11,10 @@ isomorphism class is emitted exactly once, as its canonical (lex-minimal)
 level vector, in sorted order. Nothing is deduplicated afterwards. A
 census report enumerates once and reads the class count, both ball
 extremes and the line-embeddable count off that one tuple of level
-vectors. The bitmask kernel of `balls` counts balls on their rank rows;
-`OrdinalSpace` objects are built only for the witnesses and, at n <= 4,
-for the line-embeddable count.
+vectors. The bitmask kernel of `balls` counts balls on their rank rows,
+and the line screen of `line`, exact for n <= 4, decides
+line-embeddability on the same rows. `OrdinalSpace` objects are built
+only for the two ball-extreme witnesses.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import itemgetter
 
 from .balls import _ball_count, ball_set, hasse, hasse_isomorphic
 from .errors import SizeLimitError, ValidationError
-from .line import NOT_EMBEDDABLE, classify_four_point, embed_line
+from .line import _forced_ordering
 from .space import OrdinalSpace, _pair_perms, all_pairs
 
 # maximal ball counts conjectured to continue this OEIS prefix
@@ -102,19 +103,25 @@ def _orderly_levels(n, injective):
                 uses[x] -= 1
 
     extend(0, [(pg, 0) for pg in perms], 0, 0)
+    del extend  # the closure refers to itself; unbinding it lets refcounts free out
     return out
 
 
-def _ball_counts(n, levels):
-    """Ball count of each level vector. Row c of the rank matrix is read out
+def _rank_rows(n, levels):
+    """The rank matrix rows of each level vector, lazily. Row c is read out
     of (0,) + vector, where position 0 stands for the center itself."""
     if n == 1:
-        return [1] * len(levels)  # a one-index itemgetter returns no tuple
+        return (((0,),) for _ in levels)  # a one-index itemgetter returns no tuple
     at = {}
     for t, (a, b) in enumerate(all_pairs(n), start=1):
         at[a, b] = at[b, a] = t
     rows = [itemgetter(*(at.get((c, x), 0) for x in range(n))) for c in range(n)]
-    return [_ball_count([row((0,) + lv) for row in rows]) for lv in levels]
+    return ([row((0,) + lv) for row in rows] for lv in levels)
+
+
+def _ball_counts(n, levels):
+    """Ball count of each level vector."""
+    return [_ball_count(rows) for rows in _rank_rows(n, levels)]
 
 
 def _all_allowed(n, huge):
@@ -225,18 +232,17 @@ def ball_extremes(n: int, huge: bool = False) -> BallExtremes:
     return _extremes(n, levels, full)
 
 
-def _count_line_embeddable(n, spaces):
-    """The four-point classifier decides n = 4, the exact LP smaller n."""
-    if n == 4:
-        return sum(classify_four_point(s) is not NOT_EMBEDDABLE for s in spaces)
-    return sum(embed_line(s) is not None for s in spaces)
+def _count_line_embeddable(n, levels):
+    """Level vectors whose rank rows pass the line screen; for n <= 4 the
+    screen decides, so these are the line-embeddable classes."""
+    return sum(_forced_ordering(rows) is not None for rows in _rank_rows(n, levels))
 
 
 def count_r1_embeddable(n: int) -> int:
     """Line-embeddable isomorphism classes on n <= 4 points."""
     if n > 4:
         raise SizeLimitError("r1 census points", n, 4)
-    return _count_line_embeddable(n, enumerate_spaces(n, CensusFilter.ALL))
+    return _count_line_embeddable(n, _census_levels(n, CensusFilter.ALL, False))
 
 
 @dataclass(frozen=True)
@@ -331,7 +337,7 @@ def census_report(
     r1 = None
     if filt is CensusFilter.ALL and n <= 4:
         t0 = time.perf_counter()
-        r1 = _count_line_embeddable(n, [OrdinalSpace.from_levels(n, lv) for lv in levels])
+        r1 = _count_line_embeddable(n, levels)
         times["r1"] = time.perf_counter() - t0
     return CensusReport(
         n=n,

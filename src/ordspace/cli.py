@@ -89,13 +89,18 @@ def _jsonable(obj):
     return obj
 
 
+def _document(args, payload):
+    """The JSON report: version, seed and command, then the payload."""
+    doc = {"version": __version__, "seed": args.seed, "command": args.command}
+    doc.update(_jsonable(payload))
+    return doc
+
+
 def _emit(args, payload, text_lines):
     """One report, both renderings. Text gets the version/seed header
     comment; JSON carries them as fields."""
     if args.format == "json":
-        doc = {"version": __version__, "seed": args.seed, "command": args.command}
-        doc.update(_jsonable(payload))
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_document(args, payload), indent=2))
     else:
         print(f"# ordspace {__version__} seed={args.seed}")
         for line in text_lines:
@@ -383,10 +388,8 @@ def cmd_census(args):
     if rep.r1_embeddable_count is not None:
         lines.append(f"line-embeddable classes: {rep.r1_embeddable_count}")
     if args.out:
-        doc = {"version": __version__, "seed": args.seed, "command": "census"}
-        doc.update(_jsonable(payload))
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(_document(args, payload), fh, indent=2)
             fh.write("\n")
         lines.append(f"report written to {args.out}")
     _emit(args, payload, lines)

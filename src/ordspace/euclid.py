@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeLimitError, SolverError, ValidationError
-from .space import DistanceMatrix, OrdinalSpace, all_pairs, subspace
+from .space import DistanceMatrix, OrdinalSpace, all_pairs, dp_pairs, subspace
 
 DEFAULT_LIMIT = 8
 
@@ -290,13 +290,6 @@ def realize_simplex(s: OrdinalSpace, retries: int = 32) -> EuclidWitness:
 
 # ---------------------------------------------------------------------------
 # plane necessary conditions
-
-def dp_pairs(s: OrdinalSpace):
-    """Diametrical pairs: the pairs at the maximal rank."""
-    if s.n < 2:
-        return ()
-    return tuple(p for p in s.pairs() if s.ranks[p[0]][p[1]] == s.k)
-
 
 def _isqrt_ceil(m):
     r = math.isqrt(m)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import simplex
 from .errors import SizeLimitError, SolverError, ValidationError
-from .space import DistanceMatrix, OrdinalSpace, ordinal_type
+from .space import DistanceMatrix, OrdinalSpace, _top_pairs, dp_pairs, ordinal_type
 
 DEFAULT_LIMIT = 8
 
@@ -165,11 +165,11 @@ def check_majorization(
     return MajorizationResult(True, None)
 
 
-def _is_nested(s, e):
+def _is_nested(ranks, e):
     """Nesting condition of the ordering e: every pair strictly inside
     (i, j) ranks strictly below it. Shrinking (i, j) by one step at either
     end reaches every inner pair, so the adjacent steps suffice."""
-    r = [[s.ranks[a][b] for b in e] for a in e]
+    r = [[ranks[a][b] for b in e] for a in e]
     return all(
         r[i][j] > r[i + 1][j] and r[i][j] > r[i][j - 1]
         for i in range(len(e))
@@ -177,39 +177,51 @@ def _is_nested(s, e):
     )
 
 
-def _nested_ordering(s):
-    """The only point ordering with first point < last point (an ordering
-    and its reversal are the same line) that can pass the nesting
-    condition, or None if it fails.
+def _cmp_name(a, b):
+    return "LT" if a < b else "GT" if a > b else "EQ"
 
-    In a nested ordering (first, last) is the unique top-rank pair and the
-    ranks from the first point strictly increase along it, so the ordering
-    is the lower endpoint of the diametral pair followed by the other
-    points sorted by their rank from it: the strict Robinson order, unique
-    when it exists (Prea & Fortin 2014).
+
+def _crosses(ranks, e):
+    """Crossing condition of the ordering e: for positions i < k < j < l,
+    (i, j) compares with (k, l) as (i, k) does with (j, l). On a line
+    d(i, j) - d(k, l) = d(i, k) - d(j, l)."""
+    r = [[ranks[a][b] for b in e] for a in e]
+    return all(
+        _cmp_name(r[i][j], r[k][l]) == _cmp_name(r[i][k], r[j][l])
+        for i, k, j, l in itertools.combinations(range(len(e)), 4)
+    )
+
+
+def _forced_ordering(ranks):
+    """The line screen on a rank matrix: the one point ordering, first
+    point < last, that a line embedding or a majorizing enumeration can
+    have, if it is nested and crosses; otherwise None.
+
+    A nested ordering runs from the lower endpoint of the unique top-rank
+    pair through the other points sorted by their rank from it (the strict
+    Robinson order; Prea & Fortin 2014). Both conditions are necessary (for
+    a majorizing enumeration, crossing compares (i, k, j) with (k, j, l));
+    together they are exact for n <= 4, and below 4 crossing is vacuous.
     """
-    # euclid.dp_pairs, inlined: importing euclid would load numpy
-    top = [(i, j) for i, j in s.pairs() if s.ranks[i][j] == s.k]
+    if len(ranks) == 1:
+        return (0,)
+    top = _top_pairs(ranks)
     if len(top) != 1:
         return None
-    first = top[0][0]
-    e = tuple(sorted(range(s.n), key=s.ranks[first].__getitem__))
-    return e if _is_nested(s, e) else None
+    e = tuple(sorted(range(len(ranks)), key=ranks[top[0][0]].__getitem__))
+    return e if _is_nested(ranks, e) and _crosses(ranks, e) else None
 
 
 def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
     """A majorizing enumeration with first point < last point, or None.
 
-    Tests only the one nested ordering: any majorizing enumeration
-    satisfies the nesting condition, and an enumeration majorizes iff its
-    reversal does.
+    Tests only the ordering that passes the line screen: any majorizing
+    enumeration is nested and crosses, and an enumeration majorizes iff
+    its reversal does.
     """
-    n = s.n
-    if n > limit:
-        raise SizeLimitError("find_majorizing_enumeration", n, limit)
-    if n == 1:
-        return (0,)
-    e = _nested_ordering(s)
+    if s.n > limit:
+        raise SizeLimitError("find_majorizing_enumeration", s.n, limit)
+    e = _forced_ordering(s.ranks)
     return e if e is not None and check_majorization(s, e).ok else None
 
 
@@ -247,37 +259,27 @@ def _margin_lp(s, ordering):
     """Margin-maximizing LP for a fixed point order; a witness exists for
     this order iff the optimum margin is strictly positive."""
     n = s.n
-    m = n - 1
-    nvars = m + 1  # gaps, then t
+    m = n - 1  # variables: the gaps, then the margin t
 
-    def coeffs_of(p, q):
-        return [int(p <= g < q) for g in range(nvars)]
+    def gaps_of(p, q):
+        return [int(p <= g < q) for g in range(m)]
 
     by_rank = {}
     for p in range(n):
         for q in range(p + 1, n):
             by_rank.setdefault(s.ranks[ordering[p]][ordering[q]], []).append((p, q))
+    groups = [by_rank[r] for r in sorted(by_rank)]
+    reps = [gaps_of(*group[0]) for group in groups]
 
-    constraints = []
-    for g in range(m):
-        row = [0] * nvars
-        row[g] = 1
-        row[m] = -1
-        constraints.append((row, ">=", 0))
-    for r, group in sorted(by_rank.items()):
-        rep = coeffs_of(*group[0])
+    # each gap >= t; pairs of one rank equally long; each rank >= t above
+    # the one below; the gaps sum to 1
+    constraints = [(gaps_of(g, g + 1) + [-1], ">=", 0) for g in range(m)]
+    for rep, group in zip(reps, groups):
         for other in group[1:]:
-            diff = [a - b for a, b in zip(coeffs_of(*other), rep)]
-            constraints.append((diff, "==", 0))
-    ranks_sorted = sorted(by_rank)
-    for lo, hi in zip(ranks_sorted, ranks_sorted[1:]):
-        rep_lo = coeffs_of(*by_rank[lo][0])
-        rep_hi = coeffs_of(*by_rank[hi][0])
-        row = [a - b for a, b in zip(rep_hi, rep_lo)]
-        row[m] = -1
-        constraints.append((row, ">=", 0))
-    total = [1] * m + [0]
-    constraints.append((total, "==", 1))
+            constraints.append(([a - b for a, b in zip(gaps_of(*other), rep)] + [0], "==", 0))
+    for lo, hi in zip(reps, reps[1:]):
+        constraints.append(([a - b for a, b in zip(hi, lo)] + [-1], ">=", 0))
+    constraints.append(([1] * m + [0], "==", 1))
 
     objective = [0] * m + [1]
     status, x, value = simplex.solve_lp(objective, constraints)
@@ -293,20 +295,19 @@ def _margin_lp(s, ordering):
 
 
 def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
-    """Exact 1-D embedding decision: build the one nested point order (up
-    to reversal) and decide it by the margin LP.
+    """Exact 1-D embedding decision: the margin LP on the one point order
+    (up to reversal) that passes the line screen.
 
-    A line realization orders the points so that every pair nests inside
-    the pairs around it, so no other order needs testing. Floating point
-    never enters: the order is integer comparisons and the LP is exact.
-    Returns a verified LineWitness or None.
+    A line realization's order is nested and crosses, so no other order
+    needs testing. Floating point never enters: the order is integer
+    comparisons and the LP is exact. Returns a verified LineWitness or None.
     """
     n = s.n
     if n > limit:
         raise SizeLimitError("embed_line", n, limit)
     if n == 1:
         return LineWitness((0,), (), Fraction(1))
-    ordering = _nested_ordering(s)
+    ordering = _forced_ordering(s.ranks)
     return None if ordering is None else _margin_lp(s, ordering)
 
 
@@ -316,10 +317,6 @@ def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
 NOT_EMBEDDABLE = None
 
 _EQUAL_DIAG_TAGS = {"LT": "d3", "EQ": "d2", "GT": "d1"}  # by cmp(d23, d12)
-
-
-def _cmp_name(a, b):
-    return "LT" if a < b else "GT" if a > b else "EQ"
 
 
 def _pattern_tag(d12, d13, d23, d24, d34):
@@ -352,20 +349,18 @@ def classify_four_point(s: OrdinalSpace):
 
     An enumeration matches the characteristic pattern when its ranks form
     the chain d12 < d13 < d14 > d24 > d34 with d23 below d13 and d24, and
-    d13 compares with d24 as d12 does with d34. The chain is the nesting
-    condition, so only the one nested ordering can match; of it and its
+    d13 compares with d24 as d12 does with d34: nesting and crossing, so
+    only the ordering that passes the line screen matches; of it and its
     reversal (both match or neither) it is the first of the 24 in order.
     Its tag is returned; a mirror-* tag marks d13 < d24.
     """
     if s.n != 4:
         raise ValidationError("four-point classification needs exactly 4 points")
-    e = _nested_ordering(s)
+    e = _forced_ordering(s.ranks)
     if e is None:
         return NOT_EMBEDDABLE
     d = lambda i, j: s.ranks[e[i - 1]][e[j - 1]]
     d12, d13, d23, d24, d34 = d(1, 2), d(1, 3), d(2, 3), d(2, 4), d(3, 4)
-    if _cmp_name(d13, d24) != _cmp_name(d12, d34):
-        return NOT_EMBEDDABLE
     if d13 >= d24:
         return _pattern_tag(d12, d13, d23, d24, d34)
     # reversing the enumeration swaps d12 with d34 and d13 with d24
@@ -436,33 +431,17 @@ def majorization_consequences(s: OrdinalSpace, enumeration):
     unique diametrical pair; and for positions i < k < j < l the relation
     between (i,j) and (k,l) equals the relation between (i,k) and (j,l).
     """
-    from .euclid import dp_pairs
-
     e = _check_enumeration(enumeration, s.n)
     n = s.n
-
-    def rk(a, b):
-        return s.ranks[e[a]][e[b]]
-
-    violated = []
-    if not _is_nested(s, e):
-        violated.append("nesting")
-    rising = all(rk(0, t) < rk(0, t + 1) for t in range(1, n - 1))
-    falling = all(rk(t, n - 1) > rk(t + 1, n - 1) for t in range(n - 2))
-    if not (rising and falling):
-        violated.append("endpoint_chain")
-    if set(dp_pairs(s)) != {tuple(sorted((e[0], e[n - 1])))}:
-        violated.append("single_diametrical_pair")
-    def sign(x):
-        return (x > 0) - (x < 0)
-
-    crossing = all(
-        sign(rk(i, j) - rk(k, l)) == sign(rk(i, k) - rk(j, l))
-        for i, k, j, l in itertools.combinations(range(n), 4)
-    )
-    if not crossing:
-        violated.append("crossing_equivalences")
-    return violated
+    r = [[s.ranks[a][b] for b in e] for a in e]
+    holds = {
+        "nesting": _is_nested(s.ranks, e),
+        "endpoint_chain": all(r[0][t] < r[0][t + 1] for t in range(1, n - 1))
+        and all(r[t][n - 1] > r[t + 1][n - 1] for t in range(n - 2)),
+        "single_diametrical_pair": dp_pairs(s) == (tuple(sorted((e[0], e[-1]))),),
+        "crossing_equivalences": _crosses(s.ranks, e),
+    }
+    return [clause for clause, ok in holds.items() if not ok]
 
 
 # ---------------------------------------------------------------------------

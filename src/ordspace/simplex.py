@@ -44,7 +44,8 @@ def solve_lp(objective, constraints):
     constraints: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
     Returns (status, x, value); x is a list of Fractions and value a
     Fraction, both None unless OPTIMAL. A row with fractional coefficients
-    is scaled to integers by a positive factor, which keeps its feasible set.
+    is scaled to integers by a positive factor, which keeps its feasible set;
+    one with rhs < 0, or ">=" with rhs 0, is negated: its slack starts the basis.
     """
     nvars = len(objective)
     rows = []
@@ -52,7 +53,7 @@ def solve_lp(objective, constraints):
         row, _ = _integer_row([*coeffs, rhs])
         if len(row) != nvars + 1:
             raise ValueError("constraint width does not match objective")
-        if row[-1] < 0:
+        if row[-1] < 0 or (row[-1] == 0 and sense == ">="):
             row = [-v for v in row]
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
         rows.append((row, sense))

@@ -214,6 +214,18 @@ def subspace(s: OrdinalSpace, points) -> OrdinalSpace:
     return OrdinalSpace(m, len(used), tuple(tuple(r) for r in rows))
 
 
+def _top_pairs(ranks):
+    """Pairs (i, j), i < j, at the largest entry of a rank matrix."""
+    n = len(ranks)
+    k = max(map(max, ranks))
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if ranks[i][j] == k)
+
+
+def dp_pairs(s: OrdinalSpace):
+    """Diametrical pairs: the pairs at the maximal rank."""
+    return _top_pairs(s.ranks)
+
+
 # ---------------------------------------------------------------------------
 # comparisons -> space
 

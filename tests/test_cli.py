@@ -218,6 +218,15 @@ def test_census_text_and_json_out(tmp_path):
     assert len(ball_set(witness)) == 9
 
 
+def test_census_out_file_is_the_json_report(tmp_path):
+    dest = tmp_path / "report.json"
+    code, out, _ = run("census", "--n", "3", "--format", "json", "--out", dest)
+    assert code == 0
+    # one report, one document builder: the file holds the printed JSON
+    assert dest.read_text() == out
+    assert json.loads(out)["command"] == "census"
+
+
 def test_census_guard_exit():
     code, _, err = run("census", "--n", "5")
     assert code == 3

@@ -4,6 +4,8 @@ classification, and class-profile conditions."""
 import functools
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,13 +37,15 @@ from ordspace.line import (
     find_majorizing_enumeration,
     interval_ranks,
     majorization_consequences,
+    _forced_ordering,
+    _is_nested,
     _margin_lp,
     _pattern_tag,
     probe_majorization_conjecture,
     profile_equivalence_report,
     profile_necessary_check,
 )
-from ordspace.space import ordinal_type
+from ordspace.space import dp_pairs, ordinal_type
 
 IDENT7 = tuple(range(7))
 
@@ -409,6 +413,63 @@ def test_classify_four_point_agrees_with_embed_line_on_every_class():
     assert len(spaces) == 225
     for s in spaces:
         assert (classify_four_point(s) is not NOT_EMBEDDABLE) == (embed_line(s) is not None)
+
+
+def nested_ordering(s):
+    """The forced ordering under the nesting condition alone, or None."""
+    top = dp_pairs(s)
+    if len(top) != 1:
+        return None
+    e = tuple(sorted(range(s.n), key=s.ranks[top[0][0]].__getitem__))
+    return e if _is_nested(s.ranks, e) else None
+
+
+def test_line_screen_decides_every_class_up_to_four_points():
+    assert _forced_ordering(((0,),)) == (0,)
+    crossing_rejects = 0
+    for n in range(1, 5):
+        for filt in CensusFilter:
+            for s in enumerate_spaces(n, filt):
+                screened = _forced_ordering(s.ranks)
+                assert (screened is not None) == (embed_line(s) is not None)
+                e = nested_ordering(s)
+                if screened is None and e is not None:
+                    # nested but not crossing: the LP on that ordering fails too
+                    assert _margin_lp(s, e) is None
+                    crossing_rejects += filt is CensusFilter.ALL
+    # n = 4 has 27 nested classes, of which 14 embed
+    assert crossing_rejects == 13
+
+
+def test_line_screen_rejects_only_non_embeddable_injective_five_point_classes():
+    crossing_rejects = 0
+    for s in enumerate_spaces(5, CensusFilter.INJECTIVE):
+        if _forced_ordering(s.ranks) is not None:
+            continue
+        assert embed_line(s) is None
+        assert find_majorizing_enumeration(s) is None
+        e = nested_ordering(s)
+        if e is not None:
+            # nesting holds, so only crossing rejected it: check that the
+            # LP and the majorization check agree without the screen
+            assert _margin_lp(s, e) is None
+            assert not check_majorization(s, e).ok
+            crossing_rejects += 1
+    # of 384 nested classes, 61 pass the screen and 57 embed
+    assert crossing_rejects == 323
+
+
+def test_majorization_consequences_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "from ordspace.line import majorization_consequences\n"
+        "from ordspace.space import OrdinalSpace\n"
+        "s = OrdinalSpace.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
+        "assert majorization_consequences(s, (0, 1, 2)) == []\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reverse_symmetry_of_full_check():
