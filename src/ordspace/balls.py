@@ -17,10 +17,10 @@ from functools import reduce
 from operator import and_
 
 from .errors import SizeLimitError, ValidationError
-from .space import OrdinalSpace
+from .space import OrdinalSpace, _first_match
 
-DEFAULT_VERTEX_LIMIT = 64
-DEFAULT_PERM_LIMIT = 8
+VERTEX_LIMIT = 64  # diagram size guard of the isomorphism search
+PERM_LIMIT = 8  # point-count guard of the n! bijection scan
 
 
 @dataclass(frozen=True)
@@ -177,79 +177,53 @@ def hasse(bs: BallSet) -> HasseDiagram:
 # ---------------------------------------------------------------------------
 # digraph isomorphism
 
-def find_hasse_isomorphism(
-    a: HasseDiagram, b: HasseDiagram, limit: int = DEFAULT_VERTEX_LIMIT
-):
+def _labelled(h: HasseDiagram, inv):
+    """The diagram as a matrix for `_first_match`: vertex invariants on the
+    diagonal, 1 at [child][parent] and 2 at [parent][child]. The diagram is
+    acyclic, so one entry tells both arc directions."""
+    m = len(h.vertices)
+    mat = [[0] * m for _ in range(m)]
+    for u, v in h.arcs:
+        mat[u][v], mat[v][u] = 1, 2
+    for i in range(m):
+        mat[i][i] = inv[i]
+    return mat
+
+
+def find_hasse_isomorphism(a: HasseDiagram, b: HasseDiagram):
     """Arc-preserving vertex bijection between two diagrams, or None.
 
     Isomorphism of the abstract digraphs; vertex labels carry no weight.
-    Backtracking restricted to vertices with equal (in-degree, out-degree,
-    source level) invariants.
+    A vertex maps only to one with equal (in-degree, out-degree, source
+    level) invariants; vertices are placed rarest invariant first, and the
+    witness is the first map found in that order, images tried ascending.
     """
     ma, mb = len(a.vertices), len(b.vertices)
-    if max(ma, mb) > limit:
-        raise SizeLimitError("hasse isomorphism", max(ma, mb), limit)
+    if max(ma, mb) > VERTEX_LIMIT:
+        raise SizeLimitError("hasse isomorphism", max(ma, mb), VERTEX_LIMIT)
     if ma != mb:
         return None
     inv_a, inv_b = a.invariants(), b.invariants()
     if sorted(inv_a) != sorted(inv_b):
         return None
-
-    adj_a = [[False] * ma for _ in range(ma)]
-    for u, v in a.arcs:
-        adj_a[u][v] = True
-    adj_b = [[False] * mb for _ in range(mb)]
-    for u, v in b.arcs:
-        adj_b[u][v] = True
-
-    # map rarest invariant classes first
     freq = Counter(inv_a)
     order = sorted(range(ma), key=lambda i: (freq[inv_a[i]], inv_a[i], i))
-    image = [-1] * ma
-    used = [False] * mb
-
-    def extend(pos):
-        if pos == ma:
-            return True
-        u = order[pos]
-        for cand in range(mb):
-            if used[cand] or inv_b[cand] != inv_a[u]:
-                continue
-            ok = True
-            for prev_pos in range(pos):
-                w = order[prev_pos]
-                if adj_a[u][w] != adj_b[cand][image[w]] or adj_a[w][u] != adj_b[image[w]][cand]:
-                    ok = False
-                    break
-            if ok:
-                image[u] = cand
-                used[cand] = True
-                if extend(pos + 1):
-                    return True
-                used[cand] = False
-                image[u] = -1
-        return False
-
-    return tuple(image) if extend(0) else None
+    return _first_match(_labelled(a, inv_a), _labelled(b, inv_b), order)
 
 
-def hasse_isomorphic(
-    a: HasseDiagram, b: HasseDiagram, limit: int = DEFAULT_VERTEX_LIMIT
-) -> bool:
-    return find_hasse_isomorphism(a, b, limit=limit) is not None
+def hasse_isomorphic(a: HasseDiagram, b: HasseDiagram) -> bool:
+    return find_hasse_isomorphism(a, b) is not None
 
 
-def ball_preserving_bijection(
-    a: OrdinalSpace, b: OrdinalSpace, limit: int = DEFAULT_PERM_LIMIT
-):
+def ball_preserving_bijection(a: OrdinalSpace, b: OrdinalSpace):
     """Point bijection mapping balls onto balls in both directions, or None.
 
     Since a point bijection acts injectively on member sets, checking that
     every ball of a lands in b's ball family plus equal family sizes already
     forces the map to be onto, so preimages of b-balls are a-balls too.
     """
-    if a.n > limit:
-        raise SizeLimitError("ball preserving bijection", a.n, limit)
+    if a.n > PERM_LIMIT:
+        raise SizeLimitError("ball preserving bijection", a.n, PERM_LIMIT)
     if a.n != b.n:
         return None
     balls_a = ball_set(a).as_sets()

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .euclid import embed_heuristic, menger_probe, plane_necessary_check
 from .formats import (
+    _scalar_str,
     format_hasse,
     format_rank_matrix,
     parse_comparisons,
@@ -72,14 +73,9 @@ def _pt(i):
     return f"x{i + 1}"
 
 
-def _frac(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return _frac(obj)
+        return _scalar_str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -195,20 +191,21 @@ def cmd_dord(args):
     a = _load_space(args.a)
     b = _load_space(args.b)
     res = d_ord(a, b, limit=args.limit)
-    lines = [f"d_ord = {res.value}"]
-    payload = {"value": res.value, "witness": None, "disagreements": None}
-    if res.witness is not None:
-        mapping = " ".join(f"{_pt(i)}->{_pt(res.witness[i])}" for i in range(a.n))
-        lines.append(f"witness: {mapping}")
-        lines.append(f"disagreeing pair couples: {len(res.disagreements)}")
-        for pa, pb in res.disagreements:
-            lines.append(
-                f"  ({_pt(pa[0])},{_pt(pa[1])}) vs ({_pt(pb[0])},{_pt(pb[1])})"
-            )
-        payload["witness"] = list(res.witness)
-        payload["disagreements"] = [
-            [list(pa), list(pb)] for pa, pb in res.disagreements
-        ]
+    mapping = " ".join(f"{_pt(i)}->{_pt(res.witness[i])}" for i in range(a.n))
+    lines = [
+        f"d_ord = {res.value}",
+        f"witness: {mapping}",
+        f"disagreeing pair couples: {len(res.disagreements)}",
+    ]
+    lines.extend(
+        f"  ({_pt(pa[0])},{_pt(pa[1])}) vs ({_pt(pb[0])},{_pt(pb[1])})"
+        for pa, pb in res.disagreements
+    )
+    payload = {
+        "value": res.value,
+        "witness": list(res.witness),
+        "disagreements": [[list(pa), list(pb)] for pa, pb in res.disagreements],
+    }
     if args.oracle:
         ov, _ = d_ord_oracle(a, b, limit=min(args.limit, 6))
         agrees = ov == res.value
@@ -266,7 +263,7 @@ def cmd_embed1d(args):
         )
         return EXIT_NEGATIVE
     order = " ".join(_pt(p) for p in w.ordering)
-    gaps = ", ".join(f"{_frac(g)} ({float(g):.6g})" for g in w.gaps)
+    gaps = ", ".join(f"{_scalar_str(g)} ({float(g):.6g})" for g in w.gaps)
     _emit(
         args,
         {
@@ -279,7 +276,7 @@ def cmd_embed1d(args):
             "embeddable in the line",
             f"ordering: {order}",
             f"gaps: {gaps}",
-            f"margin: {_frac(w.margin)}",
+            f"margin: {_scalar_str(w.margin)}",
         ],
     )
     return EXIT_OK
@@ -311,7 +308,7 @@ def cmd_embednd(args):
     lines = [f"verified embedding into R^{w.dim}"]
     if w.exact_coords:
         for i, row in enumerate(w.coords):
-            exact = ", ".join(_frac(c) for c in row)
+            exact = ", ".join(_scalar_str(c) for c in row)
             approx = ", ".join(f"{float(c):.6g}" for c in row)
             lines.append(f"{_pt(i)}: ({exact})  ~ ({approx})")
     else:
@@ -482,7 +479,7 @@ def build_parser():
     sp = add("embednd", cmd_embednd, "search a verified embedding into R^dim (failure is inconclusive)")
     sp.add_argument("file")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--restarts", type=int, default=32)
+    sp.add_argument("--restarts", type=_positive_int, default=32)
 
     sp = add("check-r2", cmd_check_r2, "necessary conditions for embeddability in the plane")
     sp.add_argument("file")
@@ -496,7 +493,7 @@ def build_parser():
     sp = add("menger-probe", cmd_menger_probe, "subset embeddability statistics for one space")
     sp.add_argument("file")
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--restarts", type=int, default=16)
+    sp.add_argument("--restarts", type=_positive_int, default=16)
 
     return p
 

@@ -21,10 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SizeLimitError, SolverError, ValidationError
+from .errors import SolverError, ValidationError
 from .space import DistanceMatrix, OrdinalSpace, all_pairs, dp_pairs, subspace
 
-DEFAULT_LIMIT = 8
+SCALE_HALVINGS = 32  # realize_simplex's cap; it stops long before
+DESCENT_STEPS = 600  # Adam steps per restart of embed_heuristic
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +233,8 @@ def _squared_matches_space(squared, s):
     """Do the squared distances order exactly like the rank matrix? Squared
     comparisons decide the original ones since distances are positive."""
     num = _cleared(squared)[1]
-    level, prev = 0, 0
-    for i, j in sorted(all_pairs(s.n), key=lambda p: num[p[0]][p[1]]):
-        if num[i][j] != prev:
-            level, prev = level + 1, num[i][j]
-        if prev <= 0 or level != s.ranks[i][j]:
-            return False
-    return level == s.k
+    values = [num[i][j] for i, j in all_pairs(s.n)]
+    return all(v > 0 for v in values) and OrdinalSpace.from_values(s.n, values) == s
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,7 @@ class EuclidWitness:
     certificate: ExactCertificate | None = None
 
 
-def realize_simplex(s: OrdinalSpace, retries: int = 32) -> EuclidWitness:
+def realize_simplex(s: OrdinalSpace) -> EuclidWitness:
     """Nondegenerate simplex in R^(n-1) realizing the rank matrix.
 
     Uses the compatible metric 1 + rank/(2k * 2^h), starting at h = 0. With
@@ -268,7 +264,7 @@ def realize_simplex(s: OrdinalSpace, retries: int = 32) -> EuclidWitness:
     the squared distances by their order against the ranks.
     """
     n = s.n
-    for h in range(retries):
+    for h in range(SCALE_HALVINGS):
         c = 2 * s.k << h
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i, j in all_pairs(n):
@@ -285,7 +281,7 @@ def realize_simplex(s: OrdinalSpace, retries: int = 32) -> EuclidWitness:
                 exact_coords=False,
                 certificate=cert,
             )
-    raise SolverError(f"no positive definite scale after {retries} halvings")
+    raise SolverError(f"no positive definite scale after {SCALE_HALVINGS} halvings")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def plane_necessary_check(s: OrdinalSpace):
         if 7 * second_nearest >= 24 * n:  # strict bound, kept exact
             violations.append(("second_nearest_class", second_nearest, Fraction(24 * n, 7)))
     nearest = sizes[0]
-    nearest_bound = 3 * n - _isqrt_ceil(12 * n - 3)
+    nearest_bound = nearest_class_bound(n)
     if nearest > nearest_bound:
         violations.append(("nearest_class", nearest, nearest_bound))
     return not violations, violations
@@ -341,7 +337,7 @@ def nearest_class_bound(n: int) -> int:
 # ---------------------------------------------------------------------------
 # heuristic embedder
 
-def _descend(s, dim, rng, iterations):
+def _descend(s, dim, rng):
     """Adam descent on squared hinge + tie losses over pair distances."""
     n = s.n
     pairs = s.pairs()
@@ -357,7 +353,7 @@ def _descend(s, dim, rng, iterations):
     mom = np.zeros_like(x)
     vel = np.zeros_like(x)
     b1, b2, lr, eps = 0.9, 0.999, 0.05, 1e-12
-    for t in range(1, iterations + 1):
+    for t in range(1, DESCENT_STEPS + 1):
         delta = x[ii] - x[jj]
         dist = np.sqrt((delta**2).sum(axis=1)) + 1e-12
         scale = dist.mean()
@@ -459,7 +455,6 @@ def embed_heuristic(
     s: OrdinalSpace,
     dim: int,
     restarts: int = 32,
-    iterations: int = 600,
     seed: int = 0,
 ) -> EuclidWitness | None:
     """Random-restart descent for an R^dim realization.
@@ -475,7 +470,7 @@ def embed_heuristic(
         return EuclidWitness(dim, ((Fraction(0),) * dim,), True, True, None)
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        x = _descend(s, dim, rng, iterations)
+        x = _descend(s, dim, rng)
         if not _float_cell_ok(s, x):
             continue
         witness = _witness_from_rational_coords(s, x, dim)
@@ -505,13 +500,13 @@ NOT_EMBEDDABLE_STATUS = "NOT_EMBEDDABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-def _embedding_status(t, dim, seed, restarts, limit):
-    from .line import embed_line  # local import to avoid a cycle
+def _embedding_status(t, dim, seed, restarts):
+    from .line import DEFAULT_LIMIT, embed_line  # local import to avoid a cycle
 
     if dim == 1:
-        if t.n > limit:
+        if t.n > DEFAULT_LIMIT:
             return INCONCLUSIVE
-        return EMBEDDABLE if embed_line(t, limit=limit) else NOT_EMBEDDABLE_STATUS
+        return EMBEDDABLE if embed_line(t) else NOT_EMBEDDABLE_STATUS
     if dim == 2:
         ok, _ = plane_necessary_check(t)
         if not ok:
@@ -522,11 +517,7 @@ def _embedding_status(t, dim, seed, restarts, limit):
 
 
 def menger_probe(
-    s: OrdinalSpace,
-    dim: int,
-    seed: int = 0,
-    restarts: int = 16,
-    limit: int = DEFAULT_LIMIT,
+    s: OrdinalSpace, dim: int, seed: int = 0, restarts: int = 16
 ) -> MengerReport:
     """Check the subset heuristic: every subspace on at most dim+3 points
     examined next to the whole space. A report of all-embeddable subsets
@@ -538,7 +529,7 @@ def menger_probe(
     for size in range(2, max_size + 1):
         emb = ref = inc = 0
         for sub in itertools.combinations(range(s.n), size):
-            st = _embedding_status(subspace(s, sub), dim, seed, restarts, limit)
+            st = _embedding_status(subspace(s, sub), dim, seed, restarts)
             if st == EMBEDDABLE:
                 emb += 1
             elif st == NOT_EMBEDDABLE_STATUS:
@@ -547,7 +538,7 @@ def menger_probe(
             else:
                 inc += 1
         counts.append((size, emb, ref, inc))
-    whole = _embedding_status(s, dim, seed, restarts, limit)
+    whole = _embedding_status(s, dim, seed, restarts)
     if whole == EMBEDDABLE:
         consistent = True
     elif whole == NOT_EMBEDDABLE_STATUS and not refuted:

@@ -13,6 +13,7 @@ diagram          line "hasse m", then m lines "v ID : members" and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .balls import HasseDiagram
@@ -64,9 +65,19 @@ def format_rank_matrix(s: OrdinalSpace, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Fraction expands 10**exponent exactly, so a short literal such as
+# 1e999999999 would build a huge integer; exponents are held to the limit
+# Python already puts on integer digit strings.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300
+
+
 def _parse_scalar(tok: str) -> Fraction:
     tok = tok.strip()
     try:
+        exp = _EXPONENT.search(tok)
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValidationError(f"exponent of {tok!r} exceeds {_MAX_EXPONENT}")
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad numeric literal {tok!r}") from exc

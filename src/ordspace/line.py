@@ -447,7 +447,7 @@ def majorization_consequences(s: OrdinalSpace, enumeration):
 # ---------------------------------------------------------------------------
 # conjecture probe
 
-def probe_majorization_conjecture(spaces, limit: int = DEFAULT_LIMIT):
+def probe_majorization_conjecture(spaces):
     """Status report for: a majorizing enumeration exists iff an exact line
     embedding exists. The forward direction (embedding implies majorizing)
     is proved and lands in must_hold_failures if ever broken; the
@@ -461,8 +461,8 @@ def probe_majorization_conjecture(spaces, limit: int = DEFAULT_LIMIT):
     }
     for s in spaces:
         report["tested"] += 1
-        enum_found = find_majorizing_enumeration(s, limit=limit)
-        witness = embed_line(s, limit=limit)
+        enum_found = find_majorizing_enumeration(s)
+        witness = embed_line(s)
         if enum_found is not None:
             report["majorizing"] += 1
         if witness is not None:

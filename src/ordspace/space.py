@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 
-DEFAULT_PERM_LIMIT = 8
+PERM_LIMIT = 8  # point-count guard of the n! canonical-form scan
 
 
 class Relation(enum.Enum):
@@ -92,6 +92,13 @@ class OrdinalSpace:
         for (i, j), v in zip(all_pairs(n), levels):
             rows[i][j] = rows[j][i] = v
         return OrdinalSpace(n, max(levels, default=0), tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def from_values(n, values):
+        """The space whose pair ranks, in all_pairs order, are the dense
+        ranks of values: the distinct values ascending get levels 1..k."""
+        level = {v: r for r, v in enumerate(sorted(set(values)), 1)}
+        return OrdinalSpace.from_levels(n, [level[v] for v in values])
 
     def rank(self, x, y):
         return self.ranks[x][y]
@@ -172,13 +179,7 @@ class ComparisonList:
 def ordinal_type(d: DistanceMatrix) -> OrdinalSpace:
     """Rank matrix of a distance matrix: distinct values sorted ascending,
     levels 1..k assigned in that order."""
-    values = sorted({d.values[i][j] for i, j in all_pairs(d.n)})
-    level = {v: r + 1 for r, v in enumerate(values)}
-    rows = [
-        [0 if i == j else level[d.values[i][j]] for j in range(d.n)]
-        for i in range(d.n)
-    ]
-    return OrdinalSpace(d.n, len(values), tuple(tuple(r) for r in rows))
+    return OrdinalSpace.from_values(d.n, [d.values[i][j] for i, j in all_pairs(d.n)])
 
 
 def realize(s: OrdinalSpace) -> DistanceMatrix:
@@ -204,14 +205,9 @@ def subspace(s: OrdinalSpace, points) -> OrdinalSpace:
     pts = sorted(points)
     if len(set(pts)) != len(pts) or not pts:
         raise ValidationError("subspace needs a nonempty set of distinct points")
-    used = sorted({s.ranks[a][b] for a, b in itertools.combinations(pts, 2)})
-    level = {r: i + 1 for i, r in enumerate(used)}
-    m = len(pts)
-    rows = [
-        [0 if i == j else level[s.ranks[pts[i]][pts[j]]] for j in range(m)]
-        for i in range(m)
-    ]
-    return OrdinalSpace(m, len(used), tuple(tuple(r) for r in rows))
+    return OrdinalSpace.from_values(
+        len(pts), [s.ranks[a][b] for a, b in itertools.combinations(pts, 2)]
+    )
 
 
 def _top_pairs(ranks):
@@ -433,48 +429,63 @@ def canonical_level_vector(vec, n):
     return best
 
 
-def canonical_form(s: OrdinalSpace, limit: int = DEFAULT_PERM_LIMIT) -> OrdinalSpace:
+def canonical_form(s: OrdinalSpace) -> OrdinalSpace:
     """Canonical representative of the isomorphism class of s."""
-    if s.n > limit:
-        raise SizeLimitError("canonical_form", s.n, limit)
+    if s.n > PERM_LIMIT:
+        raise SizeLimitError("canonical_form", s.n, PERM_LIMIT)
     if s.n == 1:
         return s
     return OrdinalSpace.from_levels(s.n, canonical_level_vector(s.level_vector(), s.n))
 
 
-def find_isomorphism(a: OrdinalSpace, b: OrdinalSpace):
-    """A rank-preserving relabeling a -> b, or None.
+def _first_match(ma, mb, order):
+    """First label-preserving map between two square matrices, or None.
 
-    Backtracking over point images; a partial map survives only if every
-    already-assigned rank agrees, which prunes hard on small spaces.
+    Places the rows of ma in `order`, trying images in ascending order:
+    image c is accepted for u iff mb[c][c] == ma[u][u] and
+    ma[u][w] == mb[c][f(w)] for every w already placed. So the diagonal
+    carries vertex labels and each off-diagonal entry a pair label; on
+    matrices of equal size a complete map is a bijection preserving both.
     """
-    if a.n != b.n or a.k != b.k:
-        return None
-    n = a.n
+    n = len(ma)
     image = [-1] * n
     used = [False] * n
 
-    def extend(i):
-        if i == n:
+    def extend(pos):
+        if pos == n:
             return True
-        for cand in range(n):
-            if used[cand]:
+        u = order[pos]
+        row = ma[u]
+        placed = order[:pos]
+        for c in range(n):
+            if used[c] or mb[c][c] != row[u]:
                 continue
-            ok = True
-            for j in range(i):
-                if a.ranks[i][j] != b.ranks[cand][image[j]]:
-                    ok = False
+            crow = mb[c]
+            for w in placed:
+                if row[w] != crow[image[w]]:
                     break
-            if ok:
-                image[i] = cand
-                used[cand] = True
-                if extend(i + 1):
+            else:
+                image[u] = c
+                used[c] = True
+                if extend(pos + 1):
                     return True
-                used[cand] = False
-                image[i] = -1
+                used[c] = False
         return False
 
     return tuple(image) if extend(0) else None
+
+
+def find_isomorphism(a: OrdinalSpace, b: OrdinalSpace):
+    """A rank-preserving relabeling a -> b, or None.
+
+    The witness is the lexicographically first one: points are placed in
+    index order and images tried ascending, and a partial map survives only
+    if every already-assigned rank agrees, which prunes hard on small
+    spaces.
+    """
+    if a.n != b.n or a.k != b.k:
+        return None
+    return _first_match(a.ranks, b.ranks, range(a.n))
 
 
 def is_isomorphic(a: OrdinalSpace, b: OrdinalSpace) -> bool:

@@ -140,6 +140,25 @@ def test_hasse_isomorphism_witness_preserves_arcs():
         assert (f[u], f[v]) in arcs_b
 
 
+def test_hasse_isomorphism_finds_every_relabelled_class_diagram():
+    rng = random.Random(41)
+    for n in range(1, 5):
+        for s in enumerate_spaces(n, CensusFilter.ALL):
+            a = hasse(ball_set(s))
+            m = len(a.vertices)
+            perm = list(range(m))
+            rng.shuffle(perm)  # vertex v of a becomes perm[v] of b
+            verts = [None] * m
+            for v in range(m):
+                verts[perm[v]] = a.vertices[v]
+            b = HasseDiagram(tuple(verts), tuple((perm[u], perm[v]) for u, v in a.arcs))
+            f = find_hasse_isomorphism(a, b)
+            assert f is not None and sorted(f) == list(range(m))
+            arcs_a, arcs_b = set(a.arcs), set(b.arcs)
+            for u, v in itertools.permutations(range(m), 2):
+                assert ((u, v) in arcs_a) == ((f[u], f[v]) in arcs_b)
+
+
 def test_ball_bijection_iff_hasse_isomorphic_n3():
     classes = enumerate_spaces(3, CensusFilter.ALL)
     for a, b in itertools.combinations_with_replacement(classes, 2):

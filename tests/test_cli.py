@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from conftest import FIXTURES
 from ordspace import __version__
@@ -275,6 +276,33 @@ def test_limit_must_be_positive():
         code, out, err = run(*argv)
         assert code == 2 and out == "", argv
         assert "--limit" in err and "guard exceeded" not in err, argv
+
+
+def test_restarts_must_be_positive():
+    for argv in (
+        ("embednd", fx("min3.ord"), "--dim", "2", "--restarts", "0"),
+        ("embednd", fx("min3.ord"), "--dim", "2", "--restarts", "-3"),
+        ("menger-probe", fx("min3.ord"), "--dim", "1", "--restarts", "0"),
+        ("menger-probe", fx("min3.ord"), "--dim", "1", "--restarts", "-3"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 2 and out == "", argv
+        assert "--restarts" in err, argv
+
+
+def test_huge_exponent_is_an_input_error(tmp_path):
+    # Fraction would expand 10**999999999 exactly: about 415 MB
+    f = tmp_path / "huge.csv"
+    f.write_text("0,1e999999999\n1e999999999,0\n")
+    start = time.perf_counter()
+    code, out, err = run("ordtype", f)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "input error" in err and "Traceback" not in err
+    f.write_text("0,1e4300\n1e4300,0\n")
+    code, out, _ = run("ordtype", f)
+    assert code == 0
+    assert out.splitlines()[1:] == ["2 1", "0 1", "1 0"]
 
 
 def test_json_reports_carry_version_and_seed():

@@ -267,6 +267,15 @@ def test_realize_simplex_certificate_pinned():
         assert cert.squared_distance(a, b) == cert.squared[cert.order[a]][cert.order[b]]
 
 
+def test_squared_matches_space_needs_positive_distances():
+    s = space_from_values(3, [1, 2, 2])
+    row = lambda *v: tuple(map(Fraction, v))
+    good = (row(0, 1, 4), row(1, 0, 4), row(4, 4, 0))
+    zero = (row(0, 0, 1), row(0, 0, 1), row(1, 1, 0))
+    assert euclid._squared_matches_space(good, s)
+    assert not euclid._squared_matches_space(zero, s)
+
+
 def test_dp_pairs():
     assert dp_pairs(load_space("min3.ord")) == ((0, 2),)
     assert dp_pairs(load_space("table6.ord")) == ((0, 3),)

@@ -56,6 +56,10 @@ def test_distance_csv_literals():
         parse_distance_csv("0,1\n1,0,2\n")
     with pytest.raises(ValidationError):
         parse_distance_csv("0,zap\nzap,0\n")
+    # exponents up to Python's 4,300-digit integer limit, underscores allowed
+    assert parse_distance_csv("0,1e4_300\n1e4300,0\n").values[0][1] == 10**4300
+    with pytest.raises(ValidationError):
+        parse_distance_csv("0,1e-4_301\n1e-4301,0\n")
 
 
 def test_comparisons_round_trip():

@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import collinear, load_space, random_space, relabel, space_from_values
+from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import (
     AxiomViolation,
     SizeLimitError,
@@ -15,6 +17,7 @@ from ordspace.space import (
     DistanceMatrix,
     OrdinalSpace,
     Relation,
+    all_pairs,
     canonical_form,
     find_isomorphism,
     from_comparisons,
@@ -104,6 +107,37 @@ def test_find_isomorphism_witness_is_sound():
     for x in range(a.n):
         for y in range(a.n):
             assert a.ranks[x][y] == b.ranks[f[x]][f[y]]
+
+
+def _first_isomorphism_by_scan(a, b):
+    """Oracle: the first permutation, in itertools order, preserving ranks."""
+    for f in itertools.permutations(range(b.n)):
+        if all(a.ranks[x][y] == b.ranks[f[x]][f[y]] for x in range(a.n) for y in range(a.n)):
+            return f
+    return None
+
+
+def test_find_isomorphism_is_the_first_match_of_a_permutation_scan():
+    rng = random.Random(29)
+    small = [s for n in range(1, 5) for s in enumerate_spaces(n, CensusFilter.ALL)]
+    five = rng.sample(enumerate_spaces(5, CensusFilter.INJECTIVE), 500)
+    by_n = {}
+    for s in small + five:
+        by_n.setdefault(s.n, []).append(s)
+    for s in small + five:
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        for b in (relabel(s, perm), rng.choice(by_n[s.n])):
+            assert find_isomorphism(s, b) == _first_isomorphism_by_scan(s, b)
+
+
+def test_from_values_agrees_with_dense_ranking():
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pool = [rng.randint(-5, 5) for _ in range(3)] + [Fraction(rng.randint(1, 9), 4)]
+        values = [rng.choice(pool) for _ in all_pairs(n)]
+        assert OrdinalSpace.from_values(n, values) == space_from_values(n, values)
 
 
 def test_not_isomorphic_pair():
