@@ -27,7 +27,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .balls import _ball_count, ball_set, hasse, hasse_isomorphic
-from .errors import SizeLimitError, ValidationError
+from .errors import SizeLimitError, SolverError, ValidationError
 from .line import _forced_ordering
 from .space import OrdinalSpace, _pair_perms, all_pairs
 
@@ -59,7 +59,7 @@ def fubini(p: int) -> int:
 
 
 def _orderly_levels(n, injective):
-    """Canonical level vectors on n >= 2 points, in lexicographic order.
+    """Canonical level vectors on n points, in lexicographic order.
 
     Depth-first over pair positions, levels tried in increasing order. A
     relabeling g reads the vector as w[t] = v[pg[t]]; the prefix dies as
@@ -124,27 +124,31 @@ def _ball_counts(n, levels):
     return [_ball_count(rows) for rows in _rank_rows(n, levels)]
 
 
-def _all_allowed(n, huge):
-    return n <= 4 or (n == 5 and huge)
-
-
-def _census_levels(n, filt, huge):
-    """The level vectors behind `enumerate_spaces`, under its guards."""
+def _census_levels(n, filt, huge=False):
+    """The one census guard and enumeration: every class wherever ALL is
+    allowed (n <= 4, n = 5 with huge), else the injective classes (n <= 5).
+    Returns the sorted level vectors, whether they are every class, and the
+    indices of the injective ones, their distinct-rank slice."""
     if n < 1:
         raise ValidationError("need at least one point")
-    if filt is CensusFilter.ALL:
-        if not _all_allowed(n, huge):
-            raise SizeLimitError("census ALL points", n, 5 if huge else 4)
-    elif n > 5:
+    full = n <= (5 if huge else 4)
+    if filt is CensusFilter.ALL and not full:
+        raise SizeLimitError("census ALL points", n, 5 if huge else 4)
+    if n > 5:
         raise SizeLimitError("census INJECTIVE points", n, 5)
-    return ((),) if n == 1 else _orderly_levels(n, filt is CensusFilter.INJECTIVE)
+    levels = _orderly_levels(n, not full)
+    p = n * (n - 1) // 2
+    return levels, full, [i for i, lv in enumerate(levels) if max(lv, default=0) == p]
 
 
-def enumerate_spaces(n: int, filt: CensusFilter = CensusFilter.ALL, huge: bool = False):
+def enumerate_spaces(n: int, filt: CensusFilter = CensusFilter.ALL):
     """All isomorphism classes on n points, canonical representatives in
-    sorted order. ALL needs n <= 4 (n = 5 only with huge=True: 856,608
-    classes); INJECTIVE (all pair ranks distinct) needs n <= 5."""
-    return tuple(OrdinalSpace.from_levels(n, lv) for lv in _census_levels(n, filt, huge))
+    sorted order. ALL needs n <= 4; INJECTIVE (all pair ranks distinct)
+    needs n <= 5."""
+    levels, _, injective = _census_levels(n, filt)
+    if filt is CensusFilter.INJECTIVE:
+        levels = [levels[i] for i in injective]
+    return tuple(OrdinalSpace.from_levels(n, lv) for lv in levels)
 
 
 def burnside_count(n: int, filt: CensusFilter = CensusFilter.ALL) -> int:
@@ -199,18 +203,16 @@ def _verdict(got, expected):
     return Verdict.MATCH if got == expected else Verdict.MISMATCH
 
 
-def _extremes(n, levels, full):
-    """Ball extremes over one enumeration's sorted level vectors: the maximum
-    needs every class (full), the minimum reads the injective-rank classes
+def _extremes(n, levels, full, injective):
+    """Ball extremes over one census's sorted level vectors: the maximum
+    needs every class (full), the minimum reads the injective classes
     among them. The first class attaining an extreme is its witness."""
     counts = _ball_counts(n, levels)
     max_balls = max_witness = min_balls = min_witness = None
     if full:
         max_balls = max(counts)
         max_witness = OrdinalSpace.from_levels(n, levels[counts.index(max_balls)])
-    p = n * (n - 1) // 2
-    injective = [i for i, lv in enumerate(levels) if n >= 2 and max(lv) == p]
-    if injective:
+    if n >= 2:  # one point ranks no pair, so the bound is not tested there
         i = min(injective, key=counts.__getitem__)
         min_balls, min_witness = counts[i], OrdinalSpace.from_levels(n, levels[i])
     prefix = A263511_PREFIX[n - 1] if n <= len(A263511_PREFIX) else None
@@ -218,31 +220,6 @@ def _extremes(n, levels, full):
         n, max_balls, max_witness, min_balls, min_witness,
         _verdict(max_balls, prefix), _verdict(min_balls, triangular(n)),
     )
-
-
-def ball_extremes(n: int, huge: bool = False) -> BallExtremes:
-    """Extreme ball counts: the maximum over all classes against the OEIS
-    prefix, the minimum over injective-rank classes against n(n+1)/2.
-    Whatever the guards block stays UNTESTED."""
-    full = _all_allowed(n, huge)
-    try:
-        levels = _census_levels(n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge)
-    except SizeLimitError:
-        levels = ()
-    return _extremes(n, levels, full)
-
-
-def _count_line_embeddable(n, levels):
-    """Level vectors whose rank rows pass the line screen; for n <= 4 the
-    screen decides, so these are the line-embeddable classes."""
-    return sum(_forced_ordering(rows) is not None for rows in _rank_rows(n, levels))
-
-
-def count_r1_embeddable(n: int) -> int:
-    """Line-embeddable isomorphism classes on n <= 4 points."""
-    if n > 4:
-        raise SizeLimitError("r1 census points", n, 4)
-    return _count_line_embeddable(n, _census_levels(n, CensusFilter.ALL, False))
 
 
 @dataclass(frozen=True)
@@ -315,34 +292,29 @@ def census_report(
     huge: bool = False,
 ) -> CensusReport:
     """Class count, ball extremes and line-embeddable count from one
-    enumeration: ALL wherever the guard allows it, since the maximum needs
-    every class, and the injective classes are its distinct-rank slice."""
+    enumeration, the widest the census guard allows."""
     times = {}
     t0 = time.perf_counter()
-    full = filt is CensusFilter.ALL or _all_allowed(n, huge)
-    levels = _census_levels(n, CensusFilter.ALL if full else CensusFilter.INJECTIVE, huge)
-    p = n * (n - 1) // 2
-    classes = [lv for lv in levels if filt is CensusFilter.ALL or max(lv, default=0) == p]
+    levels, full, injective = _census_levels(n, filt, huge)
+    total = len(levels) if filt is CensusFilter.ALL else len(injective)
     times["enumerate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     expected = burnside_count(n, filt)
     times["burnside"] = time.perf_counter() - t0
-    if len(classes) != expected:
-        raise AssertionError(
-            f"enumeration found {len(classes)} classes, orbit count says {expected}"
-        )
+    if total != expected:
+        raise SolverError(f"enumeration found {total} classes, orbit count says {expected}")
     t0 = time.perf_counter()
-    extremes = _extremes(n, levels, full)
+    extremes = _extremes(n, levels, full, injective)
     times["extremes"] = time.perf_counter() - t0
     r1 = None
-    if filt is CensusFilter.ALL and n <= 4:
+    if filt is CensusFilter.ALL and n <= 4:  # where the line screen decides
         t0 = time.perf_counter()
-        r1 = _count_line_embeddable(n, levels)
+        r1 = sum(_forced_ordering(rows) is not None for rows in _rank_rows(n, levels))
         times["r1"] = time.perf_counter() - t0
     return CensusReport(
         n=n,
         filter=filt,
-        total_nonisomorphic=len(classes),
+        total_nonisomorphic=total,
         burnside_total=expected,
         extremes=extremes,
         r1_embeddable_count=r1,

@@ -54,11 +54,8 @@ def parse_rank_matrix(text: str) -> OrdinalSpace:
     return s
 
 
-def format_rank_matrix(s: OrdinalSpace, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"{s.n} {s.k}")
+def format_rank_matrix(s: OrdinalSpace) -> str:
+    lines = [f"{s.n} {s.k}"]
     width = len(str(s.k))
     for row in s.ranks:
         lines.append(" ".join(str(v).rjust(width) for v in row))
@@ -94,12 +91,8 @@ def parse_distance_csv(text: str) -> DistanceMatrix:
     return DistanceMatrix(n, tuple(tuple(r) for r in rows))
 
 
-def format_distance_csv(d: DistanceMatrix, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    for row in d.values:
-        lines.append(",".join(_scalar_str(v) for v in row))
+def format_distance_csv(d: DistanceMatrix) -> str:
+    lines = [",".join(_scalar_str(v) for v in row) for row in d.values]
     return "\n".join(lines) + "\n"
 
 
@@ -137,11 +130,8 @@ def parse_comparisons(text: str) -> ComparisonList:
     return ComparisonList(n, tuple(entries))
 
 
-def format_comparisons(c: ComparisonList, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {t}" for t in comment.splitlines())
-    lines.append(str(c.n))
+def format_comparisons(c: ComparisonList) -> str:
+    lines = [str(c.n)]
     rev = {v: k for k, v in _REL_NAMES.items()}
     for x, y, z, w, rel in c.entries:
         lines.append(f"{x + 1} {y + 1} {z + 1} {w + 1} {rev[rel]}")
@@ -201,7 +191,7 @@ def parse_hasse(text: str) -> HasseDiagram:
     )
 
 
-def format_hasse(h: HasseDiagram, comment: str | None = None) -> str:
+def format_hasse(h: HasseDiagram) -> str:
     """Write a diagram whose vertices are frozensets of point indices.
     Vertices are emitted sorted by (size, members) for stable bytes."""
     for v in h.vertices:
@@ -209,10 +199,7 @@ def format_hasse(h: HasseDiagram, comment: str | None = None) -> str:
             raise ValidationError("only set-labeled diagrams have a text form")
     order = sorted(range(len(h.vertices)), key=lambda i: (len(h.vertices[i]), sorted(h.vertices[i])))
     new_id = {old: pos + 1 for pos, old in enumerate(order)}
-    lines = []
-    if comment:
-        lines.extend(f"# {t}" for t in comment.splitlines())
-    lines.append(f"hasse {len(h.vertices)}")
+    lines = [f"hasse {len(h.vertices)}"]
     for pos, old in enumerate(order):
         members = " ".join(str(p + 1) for p in sorted(h.vertices[old]))
         lines.append(f"v {pos + 1} : {members}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,8 +189,6 @@ def realize(s: OrdinalSpace) -> DistanceMatrix:
     All distances lie in (1, 3/2], so any three satisfy the triangle
     inequality outright, and ordinal_type(realize(s)) == s.
     """
-    if s.n == 1:
-        return DistanceMatrix(1, ((Fraction(0),),))
     rows = [
         [
             Fraction(0) if i == j else 1 + Fraction(s.ranks[i][j], 2 * s.k)
@@ -231,16 +230,20 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
     Equalities merge pairs into classes (union-find); strict comparisons
     order the classes. Unstated relations are inferred by transitivity only;
     a cycle raises AxiomViolation, two incomparable classes raise
-    UnderdeterminedOrder.
+    UnderdeterminedOrder. Only the pairs that entries mention get
+    union-find nodes, so the cost follows the entries, not the pairs.
     """
     n = c.n
-    pairs = all_pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
+    parent = {}
 
     def pair_of(x, y):
-        return None if x == y else index[(min(x, y), max(x, y))]
-
-    parent = list(range(len(pairs)))
+        if x == y:
+            return None
+        if x > y:
+            x, y = y, x
+        t = x * (2 * n - x - 1) // 2 + y - x - 1  # index in all_pairs(n)
+        parent.setdefault(t, t)
+        return t
 
     def find(a):
         while parent[a] != a:
@@ -312,7 +315,7 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
         succ.setdefault(ra, set()).add(rb)
         edge_entries.setdefault((ra, rb), e)
 
-    roots = sorted({find(i) for i in range(len(pairs))})
+    roots = sorted({find(t) for t in parent})
     cycle = _find_cycle(roots, succ)
     if cycle is not None:
         witnesses = [
@@ -322,56 +325,66 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
         raise AxiomViolation(axiom, witnesses)
 
     # the strict order must be total on classes: Kahn steps must have a
-    # unique source each time
-    indeg = {r: 0 for r in roots}
+    # unique source each time. An unmentioned pair is a class of its own
+    # and a source at every step, so the two smallest stand for them all.
+    npairs = n * (n - 1) // 2
+    unmentioned = itertools.islice((t for t in range(npairs) if t not in parent), 2)
+    indeg = dict.fromkeys(itertools.chain(roots, unmentioned), 0)
     for a in succ:
         for b in succ[a]:
             indeg[b] += 1
-    remaining = set(roots)
+    sources = [r for r in indeg if indeg[r] == 0]
     order = []
-    while remaining:
-        sources = sorted(r for r in remaining if indeg[r] == 0)
+    while sources:
         if len(sources) > 1:
+            sources.sort()
             members = lambda root: tuple(
-                pairs[i] for i in range(len(pairs)) if find(i) == root
-            )
+                _pair_at(n, t) for t in sorted(parent) if find(t) == root
+            ) or (_pair_at(n, root),)
             raise UnderdeterminedOrder(members(sources[0]), members(sources[1]))
-        src = sources[0]
+        src = sources.pop()
         order.append(src)
-        remaining.discard(src)
         for b in succ.get(src, ()):
             indeg[b] -= 1
+            if indeg[b] == 0:
+                sources.append(b)
 
     level_of_root = {r: lvl + 1 for lvl, r in enumerate(order)}
-    return OrdinalSpace.from_levels(n, [level_of_root[find(i)] for i in range(len(pairs))])
+    levels = [level_of_root[find(t) if t in parent else t] for t in range(npairs)]
+    return OrdinalSpace.from_levels(n, levels)
+
+
+def _pair_at(n, t):
+    """The pair at index t of all_pairs(n): row x is the largest with
+    x(2n - x - 1)/2 <= t, the smaller root of that quadratic rounded down."""
+    x = (2 * n - 2 - math.isqrt((2 * n - 1) ** 2 - 8 * t - 1)) // 2
+    return x, t - x * (2 * n - x - 1) // 2 + x + 1
 
 
 def _find_cycle(nodes, succ):
-    """First directed cycle as [v0, v1, ..., v0], or None."""
+    """First directed cycle as [v0, v1, ..., v0], or None: depth first from
+    each unvisited node in turn, successors in sorted order. The path is an
+    explicit stack, so a long chain cannot exhaust the recursion limit."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in nodes}
-    stack_path = []
-
-    def dfs(v):
-        color[v] = GREY
-        stack_path.append(v)
-        for w in sorted(succ.get(v, ())):
-            if color[w] == GREY:
-                i = stack_path.index(w)
-                return stack_path[i:] + [w]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in nodes:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found:
-                return found
+    color = dict.fromkeys(nodes, WHITE)
+    for root in nodes:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        todo = [iter(sorted(succ.get(root, ())))]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == GREY:
+                    return path[path.index(w):] + [w]
+                if color[w] == WHITE:
+                    color[w] = GREY
+                    path.append(w)
+                    todo.append(iter(sorted(succ.get(w, ()))))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                todo.pop()
     return None
 
 
@@ -433,8 +446,6 @@ def canonical_form(s: OrdinalSpace) -> OrdinalSpace:
     """Canonical representative of the isomorphism class of s."""
     if s.n > PERM_LIMIT:
         raise SizeLimitError("canonical_form", s.n, PERM_LIMIT)
-    if s.n == 1:
-        return s
     return OrdinalSpace.from_levels(s.n, canonical_level_vector(s.level_vector(), s.n))
 
 

@@ -23,8 +23,7 @@ from ordspace.census import (
     A263511_PREFIX,
     CensusFilter,
     Verdict,
-    ball_extremes,
-    count_r1_embeddable,
+    census_report,
     enumerate_spaces,
     minimal_hasse_shape_probe,
     triangular,
@@ -114,7 +113,7 @@ def test_acceptance_03_four_point_classifier_vs_lp():
         agreed = (tag is not NOT_EMBEDDABLE) == (witness is not None)
         ok = ok and agreed
         embeddable += witness is not None
-    ok = ok and embeddable == 14 and count_r1_embeddable(4) == 14
+    ok = ok and embeddable == 14 and census_report(4).r1_embeddable_count == 14
     report(3, ok, f"classifier/LP disagreement or count {embeddable} != 14", t0, 30.0)
 
 
@@ -122,14 +121,14 @@ def test_acceptance_04_max_ball_prefix():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 3, 4):
-        ext = ball_extremes(n)
+        ext = census_report(n).extremes
         ok = ok and ext.max_balls == A263511_PREFIX[n - 1]
         ok = ok and ext.matches_A263511 is Verdict.MATCH
     detail = "max ball counts differ from (1,3,6,12)"
     budget = 60.0
     if os.environ.get("ORDSPACE_HUGE"):
         budget = 4 * 3600.0
-        ext = ball_extremes(5, huge=True)
+        ext = census_report(5, huge=True).extremes
         ok = ok and ext.max_balls == 19 and ext.matches_A263511 is Verdict.MATCH
         detail = "n=5 maximum differs from 19"
     report(4, ok, detail, t0, budget)

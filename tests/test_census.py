@@ -12,10 +12,8 @@ from ordspace.census import (
     A263511_PREFIX,
     CensusFilter,
     Verdict,
-    ball_extremes,
     burnside_count,
     census_report,
-    count_r1_embeddable,
     enumerate_spaces,
     fubini,
     minimal_hasse_shape_probe,
@@ -120,17 +118,17 @@ def test_injective_census_n5_is_canonical_sorted_and_complete():
     assert all(canonical_level_vector(v, 5) == v for v in levels)
 
 
-def test_ball_extremes_n3():
-    ext = ball_extremes(3)
+def test_census_extremes_n3():
+    ext = census_report(3).extremes
     assert ext.max_balls == 6 and ext.matches_A263511 is Verdict.MATCH
     assert ext.min_balls_distinct == 6 and ext.matches_triangular is Verdict.MATCH
     assert len(ball_set(ext.max_witness)) == 6
 
 
-def test_ball_extremes_n4_min_is_below_the_conjectured_bound():
+def test_census_extremes_n4_min_is_below_the_conjectured_bound():
     # the triangular-number lower bound fails at n = 4: two injective-rank
     # classes get by with 9 balls, under the conjectured 10
-    ext = ball_extremes(4)
+    ext = census_report(4).extremes
     assert ext.max_balls == 12 and ext.matches_A263511 is Verdict.MATCH
     assert ext.min_balls_distinct == 9
     assert ext.matches_triangular is Verdict.MISMATCH
@@ -138,18 +136,24 @@ def test_ball_extremes_n4_min_is_below_the_conjectured_bound():
     assert ext.min_witness.k == 6
 
 
-def test_ball_extremes_untested_when_guarded():
-    ext = ball_extremes(6)
+def test_census_extremes_untested_at_the_ends():
+    # one point ranks no pair: one class under either filter, no minimum
+    for filt in CensusFilter:
+        rep = census_report(1, filt)
+        assert (rep.total_nonisomorphic, rep.burnside_total) == (1, 1)
+        ext = rep.extremes
+        assert ext.max_balls == 1 and ext.matches_A263511 is Verdict.MATCH
+        assert ext.min_balls_distinct is None and ext.matches_triangular is Verdict.UNTESTED
+    # the n = 5 injective census sees no other class, so it has no maximum
+    ext = census_report(5, CensusFilter.INJECTIVE).extremes
     assert ext.max_balls is None and ext.matches_A263511 is Verdict.UNTESTED
-    assert ext.min_balls_distinct is None and ext.matches_triangular is Verdict.UNTESTED
+    assert ext.min_balls_distinct == 13 and ext.matches_triangular is Verdict.MISMATCH
 
 
-def test_count_r1_embeddable():
-    assert count_r1_embeddable(2) == 1
-    assert count_r1_embeddable(3) == 2
-    assert count_r1_embeddable(4) == 14
+def test_census_r1_embeddable_counts():
+    assert [census_report(n).r1_embeddable_count for n in (1, 2, 3, 4)] == [1, 1, 2, 14]
     with pytest.raises(SizeLimitError):
-        count_r1_embeddable(5)
+        census_report(5)
 
 
 def test_shape_probe_n3_confirms_conjecture():

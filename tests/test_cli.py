@@ -234,6 +234,15 @@ def test_census_guard_exit():
     assert "guard exceeded" in err
 
 
+def test_census_orbit_count_mismatch_exits_internal(monkeypatch):
+    # the census checks its class count against the orbit count; a
+    # disagreement is a broken invariant, never a negative answer
+    monkeypatch.setattr("ordspace.census.burnside_count", lambda n, filt: 7)
+    code, out, err = run("census", "--n", "3")
+    assert code == 70 and out == ""
+    assert "internal error: enumeration found 4 classes, orbit count says 7" in err
+
+
 def test_missing_and_malformed_files(tmp_path):
     code, _, err = run("balls", tmp_path / "nope.ord")
     assert code == 2 and "input error" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ordspace.errors import (
     UnderdeterminedOrder,
     ValidationError,
 )
+from ordspace.formats import parse_comparisons
 from ordspace.space import (
     ComparisonList,
     DistanceMatrix,
@@ -205,6 +207,40 @@ def test_comparison_axiom_errors():
 def test_comparisons_underdetermined():
     with pytest.raises(UnderdeterminedOrder):
         from_comparisons(ComparisonList(3, ((0, 1, 0, 2, Relation.LT),)))
+
+
+def test_comparisons_cost_follows_the_entries():
+    # one entry on 2,000 points: the 1,999,000 pairs are never built
+    c = parse_comparisons("2000\n1 2 1 3 LT\n")
+    t0 = time.perf_counter()
+    with pytest.raises(UnderdeterminedOrder) as err:
+        from_comparisons(c)
+    assert time.perf_counter() - t0 < 0.2
+    assert str(err.value) == (
+        "order between pair classes ((0, 1),) and ((0, 3),) "
+        "is not determined by the given comparisons"
+    )
+
+
+def _pair_chain(n):
+    pairs = all_pairs(n)
+    return [(*a, *b, Relation.LT) for a, b in zip(pairs, pairs[1:])]
+
+
+def test_comparisons_deep_chain():
+    # 1,224 strict entries chain all 1,225 pairs of 50 points
+    s = from_comparisons(ComparisonList(50, tuple(_pair_chain(50))))
+    assert s.level_vector() == tuple(range(1, 1226))
+
+
+def test_comparisons_deep_cycle():
+    entries = _pair_chain(50)
+    (a, b), (c, d) = all_pairs(50)[-1], all_pairs(50)[0]
+    entries.append((a, b, c, d, Relation.LT))
+    with pytest.raises(AxiomViolation) as err:
+        from_comparisons(ComparisonList(50, tuple(entries)))
+    assert err.value.axiom == "v/vi"
+    assert err.value.witnesses == entries
 
 
 def test_gt_entries_normalize():
