@@ -17,10 +17,9 @@ from functools import reduce
 from operator import and_
 
 from .errors import SizeLimitError, ValidationError
-from .space import OrdinalSpace, _first_match
+from .space import PERM_LIMIT, OrdinalSpace, _first_match
 
 VERTEX_LIMIT = 64  # diagram size guard of the isomorphism search
-PERM_LIMIT = 8  # point-count guard of the n! bijection scan
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     return obj
 
 
@@ -207,7 +205,7 @@ def cmd_dord(args):
         "disagreements": [[list(pa), list(pb)] for pa, pb in res.disagreements],
     }
     if args.oracle:
-        ov, _ = d_ord_oracle(a, b, limit=min(args.limit, 6))
+        ov, _ = d_ord_oracle(a, b)
         agrees = ov == res.value
         lines.append(f"oracle value: {ov} (agrees: {'yes' if agrees else 'NO'})")
         payload["oracle_value"] = ov
@@ -306,7 +304,7 @@ def cmd_embednd(args):
         )
         return EXIT_NEGATIVE
     lines = [f"verified embedding into R^{w.dim}"]
-    if w.exact_coords:
+    if w.certificate is None:
         for i, row in enumerate(w.coords):
             exact = ", ".join(_scalar_str(c) for c in row)
             approx = ", ".join(f"{float(c):.6g}" for c in row)
@@ -322,7 +320,7 @@ def cmd_embednd(args):
         {
             "verified": True,
             "dim": w.dim,
-            "exact_coordinates": w.exact_coords,
+            "exact_coordinates": w.certificate is None,
             "coordinates": [list(r) for r in w.coords],
         },
         lines,

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SizeLimitError, SolverError, ValidationError
+from .line import embed_line
 from .space import DistanceMatrix, OrdinalSpace, all_pairs, dp_pairs, subspace
 
 SCALE_HALVINGS = 32  # realize_simplex's cap; it stops long before
@@ -239,14 +240,12 @@ def _squared_matches_space(squared, s):
 
 @dataclass(frozen=True)
 class EuclidWitness:
-    """Verified Euclidean realization. coords are exact Fractions when the
-    witness came from rational coordinates, floats (display only) when the
-    exactness lives in the certificate."""
+    """Verified Euclidean realization: either exact Fraction coords and no
+    certificate, or float coords (display only) with the exactness in the
+    certificate."""
 
     dim: int
     coords: tuple
-    verified: bool
-    exact_coords: bool
     certificate: ExactCertificate | None = None
 
 
@@ -274,13 +273,7 @@ def realize_simplex(s: OrdinalSpace) -> EuclidWitness:
         if cert is not None and cert.rank == n - 1:
             if not _squared_matches_space(squared, s):
                 raise SolverError("simplex witness failed ordinal re-verification")
-            return EuclidWitness(
-                dim=n - 1,
-                coords=cert.float_coordinates(n - 1),
-                verified=True,
-                exact_coords=False,
-                certificate=cert,
-            )
+            return EuclidWitness(n - 1, cert.float_coordinates(n - 1), cert)
     raise SolverError(f"no positive definite scale after {SCALE_HALVINGS} halvings")
 
 
@@ -379,23 +372,19 @@ def _descend(s, dim, rng):
     return x
 
 
-def _float_cell_ok(s, x):
-    """Cheap screen: the float configuration must already order the rank
-    classes correctly and keep ties tight. Never decides success."""
-    pairs = s.pairs()
-    d2 = {p: float(((x[p[0]] - x[p[1]]) ** 2).sum()) for p in pairs}
-    means = {}
-    spread = 0.0
-    for p in pairs:
-        means.setdefault(s.ranks[p[0]][p[1]], []).append(d2[p])
-    vals = []
-    for r in sorted(means):
-        grp = means[r]
-        vals.append(sum(grp) / len(grp))
-        spread = max(spread, max(grp) - min(grp))
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    min_gap = min(gaps, default=vals[0])
-    return all(g > 0 for g in gaps) and spread < 0.2 * min_gap
+def _class_means(s, x):
+    """Cheap screen: group the float squared distances by rank class; the
+    classes must already be in rank order and keep ties tight. Returns the
+    class means by rank, or None. Never decides success."""
+    groups = {}
+    for i, j in s.pairs():
+        groups.setdefault(s.ranks[i][j], []).append(float(((x[i] - x[j]) ** 2).sum()))
+    means = [sum(g) / len(g) for _, g in sorted(groups.items())]
+    spread = max(max(g) - min(g) for g in groups.values())
+    gaps = [b - a for a, b in zip(means, means[1:])]
+    if all(g > 0 for g in gaps) and spread < 0.2 * min(gaps, default=means[0]):
+        return means
+    return None
 
 
 def _witness_from_rational_coords(s, x, dim):
@@ -412,43 +401,24 @@ def _witness_from_rational_coords(s, x, dim):
             for i in range(s.n)
         )
         if _squared_matches_space(squared, s):
-            return EuclidWitness(dim, coords, True, True, None)
+            return EuclidWitness(dim, coords)
     return None
 
 
-def _witness_from_class_targets(s, x, dim):
+def _witness_from_class_targets(s, means, dim):
     """Tie-aware exact verification: snap squared distances to one rational
-    target per rank class and decide embeddability of the snapped matrix
-    exactly through the Gram factorization."""
-    pairs = s.pairs()
-    sums = {}
-    counts = {}
-    for i, j in pairs:
-        r = s.ranks[i][j]
-        sums[r] = sums.get(r, 0.0) + float(((x[i] - x[j]) ** 2).sum())
-        counts[r] = counts.get(r, 0) + 1
-    target = {}
-    prev = Fraction(0)
-    for r in sorted(sums):
-        t = Fraction(sums[r] / counts[r]).limit_denominator(10**8)
-        if t <= prev:
-            return None
-        target[r] = t
-        prev = t
+    target per rank class, near its float mean, and decide embeddability of
+    the snapped matrix exactly through the Gram factorization."""
+    targets = [Fraction(0)] + [Fraction(m).limit_denominator(10**8) for m in means]
+    if any(a >= b for a, b in zip(targets, targets[1:])):
+        return None
     squared = tuple(
-        tuple(
-            Fraction(0) if i == j else target[s.ranks[i][j]] for j in range(s.n)
-        )
-        for i in range(s.n)
+        tuple(targets[s.ranks[i][j]] for j in range(s.n)) for i in range(s.n)
     )
     cert = _certificate_from_squared(squared, dim=dim)
-    if cert is None:
+    if cert is None or not _squared_matches_space(squared, s):
         return None
-    if not _squared_matches_space(squared, s):
-        return None
-    return EuclidWitness(
-        dim, cert.float_coordinates(dim), True, False, cert
-    )
+    return EuclidWitness(dim, cert.float_coordinates(dim), cert)
 
 
 def embed_heuristic(
@@ -467,15 +437,16 @@ def embed_heuristic(
     if dim < 1:
         raise ValidationError("dimension must be positive")
     if s.n == 1:
-        return EuclidWitness(dim, ((Fraction(0),) * dim,), True, True, None)
+        return EuclidWitness(dim, ((Fraction(0),) * dim,))
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         x = _descend(s, dim, rng)
-        if not _float_cell_ok(s, x):
+        means = _class_means(s, x)
+        if means is None:
             continue
         witness = _witness_from_rational_coords(s, x, dim)
         if witness is None:
-            witness = _witness_from_class_targets(s, x, dim)
+            witness = _witness_from_class_targets(s, means, dim)
         if witness is not None:
             return witness
     return None
@@ -501,12 +472,11 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def _embedding_status(t, dim, seed, restarts):
-    from .line import DEFAULT_LIMIT, embed_line  # local import to avoid a cycle
-
     if dim == 1:
-        if t.n > DEFAULT_LIMIT:
+        try:
+            return EMBEDDABLE if embed_line(t) else NOT_EMBEDDABLE_STATUS
+        except SizeLimitError:
             return INCONCLUSIVE
-        return EMBEDDABLE if embed_line(t) else NOT_EMBEDDABLE_STATUS
     if dim == 2:
         ok, _ = plane_necessary_check(t)
         if not ok:
@@ -539,13 +509,12 @@ def menger_probe(
                 inc += 1
         counts.append((size, emb, ref, inc))
     whole = _embedding_status(s, dim, seed, restarts)
-    if whole == EMBEDDABLE:
+    if whole == INCONCLUSIVE:
+        consistent = None
+    elif whole == EMBEDDABLE or refuted:
         consistent = True
-    elif whole == NOT_EMBEDDABLE_STATUS and not refuted:
-        all_decided = all(inc == 0 for (_, _, _, inc) in counts)
-        consistent = False if all_decided else None
-    else:
-        consistent = None if whole == INCONCLUSIVE else True
+    else:  # a refuted whole, no refuted subset: a failure once all are decided
+        consistent = False if all(inc == 0 for *_, inc in counts) else None
     return MengerReport(
         dim=dim,
         max_subset_size=max_size,

@@ -132,9 +132,8 @@ def parse_comparisons(text: str) -> ComparisonList:
 
 def format_comparisons(c: ComparisonList) -> str:
     lines = [str(c.n)]
-    rev = {v: k for k, v in _REL_NAMES.items()}
     for x, y, z, w, rel in c.entries:
-        lines.append(f"{x + 1} {y + 1} {z + 1} {w + 1} {rev[rel]}")
+        lines.append(f"{x + 1} {y + 1} {z + 1} {w + 1} {rel.name}")
     return "\n".join(lines) + "\n"
 
 

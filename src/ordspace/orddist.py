@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .space import OrdinalSpace, all_pairs
+from .space import OrdinalSpace, all_pairs, is_isomorphic
 
 DEFAULT_LIMIT = 8
 
@@ -126,8 +126,6 @@ def d_ord_is_metric_probe(
     """Empirical metric-axiom check over a sample of same-size spaces:
     symmetry, zero exactly on isomorphic pairs, triangle inequality. Any
     violation would mean a bug, so the report names the offenders."""
-    from .space import is_isomorphic
-
     spaces = list(spaces)
     if len({s.n for s in spaces}) > 1:
         raise ValidationError("metric probe needs equal cardinalities")

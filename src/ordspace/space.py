@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 
-PERM_LIMIT = 8  # point-count guard of the n! canonical-form scan
+PERM_LIMIT = 8  # point-count guard of the n! scans: canonical form, ball bijection
 
 
 class Relation(enum.Enum):
@@ -101,9 +101,6 @@ class OrdinalSpace:
         level = {v: r for r, v in enumerate(sorted(set(values)), 1)}
         return OrdinalSpace.from_levels(n, [level[v] for v in values])
 
-    def rank(self, x, y):
-        return self.ranks[x][y]
-
     def relation(self, x, y, z, w):
         """delta(x, y, z, w) as a Relation; degenerate pairs rank 0."""
         return _cmp(self.ranks[x][y], self.ranks[z][w])
@@ -150,9 +147,6 @@ class DistanceMatrix:
     def from_rows(rows):
         conv = tuple(tuple(Fraction(x) for x in row) for row in rows)
         return DistanceMatrix(len(conv), conv)
-
-    def d(self, x, y):
-        return self.values[x][y]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from ordspace.balls import (
     spectrum,
 )
 from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
-from ordspace.errors import ValidationError
+from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.space import DistanceMatrix, is_isomorphic, ordinal_type, realize
 
 # the six-point table lists one ball chain per center; a..f are points 1..6
@@ -157,6 +157,20 @@ def test_hasse_isomorphism_finds_every_relabelled_class_diagram():
             arcs_a, arcs_b = set(a.arcs), set(b.arcs)
             for u, v in itertools.permutations(range(m), 2):
                 assert ((u, v) in arcs_a) == ((f[u], f[v]) in arcs_b)
+
+
+def test_hasse_isomorphism_vertex_guard():
+    # these random ten-point spaces have 79 and 82 balls, past the 64-vertex guard
+    rng = random.Random(10)
+    a, b = random_space(rng, 10), random_space(rng, 10)
+    with pytest.raises(SizeLimitError, match="hasse isomorphism: size 82 exceeds guard limit 64"):
+        find_hasse_isomorphism(hasse(ball_set(a)), hasse(ball_set(b)))
+
+
+def test_ball_bijection_point_guard():
+    nine = space_from_values(9, list(range(36)))
+    with pytest.raises(SizeLimitError, match="size 9 exceeds guard limit 8"):
+        ball_preserving_bijection(nine, nine)
 
 
 def test_ball_bijection_iff_hasse_isomorphic_n3():

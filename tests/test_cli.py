@@ -3,13 +3,15 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_space
 from ordspace import __version__
 from ordspace.cli import main
+from ordspace.formats import format_rank_matrix
 
 HEADER = f"# ordspace {__version__} seed=0"
 
@@ -189,6 +191,43 @@ def test_menger_probe_golden():
     assert "size 4: 0 embeddable, 5 refuted, 0 inconclusive" in out
     assert "whole space: NOT_EMBEDDABLE" in out
     assert "subset criterion consistent: yes" in out
+
+
+def test_menger_probe_reports_subset_criterion_failure():
+    code, out, _ = run("menger-probe", fx("menger5.ord"), "--dim", "1")
+    assert code == 1
+    assert "whole space: NOT_EMBEDDABLE" in out
+    assert "subset criterion consistent: NO" in out
+
+
+def test_iso_past_the_hasse_vertex_guard_exits_3(tmp_path):
+    rng = random.Random(10)
+    files = []
+    for name in ("a.ord", "b.ord"):
+        f = tmp_path / name
+        f.write_text(format_rank_matrix(random_space(rng, 10)))
+        files.append(f)
+    code, out, err = run("iso", *files)
+    assert code == 3 and out == ""
+    assert err == "guard exceeded: hasse isomorphism: size 82 exceeds guard limit 64\n"
+
+
+def test_embednd_exact_coordinates_route():
+    code, out, _ = run("embednd", fx("min3.ord"), "--dim", "1", "--restarts", "4")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "verified embedding into R^1",
+        "x1: (-399/545)  ~ (-0.73211)",
+        "x2: (-19/531)  ~ (-0.0357815)",
+        "x3: (397/517)  ~ (0.767892)",
+    ]
+
+
+def test_embed1d_json_renders_fractions():
+    code, out, _ = run("embed1d", fx("min3.ord"), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gaps"] == ["1/3", "2/3"] and doc["margin"] == "1/3"
 
 
 def test_census_text_and_json_out(tmp_path):

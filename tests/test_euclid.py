@@ -154,7 +154,7 @@ def test_realize_simplex_fixtures():
     for name in simplex_fixture_names():
         s = load_space(name)
         w = realize_simplex(s)
-        assert w.verified and not w.exact_coords
+        assert w.certificate is not None
         assert w.dim == s.n - 1
         cert = w.certificate
         assert cert.rank == s.n - 1
@@ -186,7 +186,7 @@ def test_realize_simplex_float_view_orders_like_ranks():
 
 def test_realize_simplex_single_point():
     w = realize_simplex(space_from_values(1, []))
-    assert w.dim == 0 and w.verified
+    assert w.dim == 0 and w.certificate is not None
 
 
 def scaled_distances(s, h):
@@ -331,7 +331,7 @@ def test_nearest_class_bound_values():
 
 
 def verify_witness_ranks(s, w):
-    if w.exact_coords:
+    if w.certificate is None:
         squared = [[Fraction(0)] * s.n for _ in range(s.n)]
         for i, j in all_pairs(s.n):
             d2 = sum((a - b) ** 2 for a, b in zip(w.coords[i], w.coords[j]))
@@ -346,7 +346,7 @@ def verify_witness_ranks(s, w):
 def test_embed_heuristic_square():
     s = space_from_values(4, [1, 2, 1, 1, 2, 1])  # unit square with diagonals
     w = embed_heuristic(s, 2, seed=1)
-    assert w is not None and w.verified and w.dim == 2
+    assert w is not None and w.dim == 2
     verify_witness_ranks(s, w)
 
 
@@ -382,7 +382,7 @@ def test_embed_heuristic_validation_and_trivial():
     with pytest.raises(ValidationError):
         embed_heuristic(s, 0)
     w = embed_heuristic(space_from_values(1, []), 3)
-    assert w.exact_coords and w.coords == ((Fraction(0),) * 3,)
+    assert w.certificate is None and w.coords == ((Fraction(0),) * 3,)
 
 
 def test_menger_probe_all_equal_five():
@@ -408,6 +408,16 @@ def test_menger_probe_line_refuted():
     assert rep.whole_status == NOT_EMBEDDABLE_STATUS
     assert (0, 1, 2) in rep.refuted_subsets
     assert rep.conjecture_consistent is True
+
+
+def test_menger_probe_subset_criterion_fails_on_the_line():
+    # 4 of the 30,240 injective five-point classes have every subspace on at
+    # most four points line-embeddable while the whole is not; this is the first
+    rep = menger_probe(load_space("menger5.ord"), 1)
+    assert rep.subset_counts == ((2, 10, 0, 0), (3, 10, 0, 0), (4, 5, 0, 0))
+    assert rep.refuted_subsets == ()
+    assert rep.whole_status == NOT_EMBEDDABLE_STATUS
+    assert rep.conjecture_consistent is False
 
 
 def test_menger_probe_inconclusive():

@@ -28,6 +28,7 @@ from ordspace.line import (
     NOT_EMBEDDABLE,
     IndexSequence,
     MajorizationMode,
+    MajorizationResult,
     SeqRelation,
     check_majorization,
     class_profile,
@@ -45,7 +46,7 @@ from ordspace.line import (
     profile_equivalence_report,
     profile_necessary_check,
 )
-from ordspace.space import dp_pairs, ordinal_type
+from ordspace.space import OrdinalSpace, dp_pairs, ordinal_type
 
 IDENT7 = tuple(range(7))
 
@@ -114,6 +115,15 @@ def test_check_majorization_rejects_bad_enumeration():
     s = load_space("min3.ord")
     with pytest.raises(ValidationError):
         check_majorization(s, (0, 1, 1))
+
+
+def test_check_majorization_equiv_violation():
+    # positions (1,2,3) and (2,3,4) both have interval ranks (1, 1), but
+    # their endpoint ranks are 3 and 2
+    s = OrdinalSpace.from_rows(((0, 1, 1, 2), (1, 0, 3, 1), (1, 3, 0, 4), (2, 1, 4, 0)))
+    assert check_majorization(s, (2, 0, 1, 3)) == MajorizationResult(
+        False, ((1, 2, 3), (2, 3, 4))
+    )
 
 
 def test_find_majorizing_enumeration_examples():
@@ -258,6 +268,7 @@ GOLDEN_ENUMERATIONS = {
     "min3.ord": (0, 1, 2),
     "min4.ord": (0, 1, 2, 3),
     "allequal5.ord": None,
+    "menger5.ord": None,
     "seven_swap.ord": None,
     "table6.ord": None,
     "tree5_a.ord": None,

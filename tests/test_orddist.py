@@ -181,6 +181,11 @@ def test_guards():
     assert d_ord(one, one).value == 0
 
 
+def test_oracle_needs_equal_cardinalities():
+    with pytest.raises(ValidationError, match="same cardinality"):
+        d_ord_oracle(load_space("min3.ord"), load_space("min4.ord"))
+
+
 def test_metric_probe_on_all_three_point_types():
     report = d_ord_is_metric_probe(THREE_POINT_TYPES)
     assert report.ok

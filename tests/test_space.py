@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import collinear, load_space, random_space, relabel, space_from_values
+from conftest import (
+    collinear,
+    fixture_text,
+    load_space,
+    random_space,
+    relabel,
+    space_from_values,
+)
 from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import (
     AxiomViolation,
@@ -202,6 +209,28 @@ def test_comparison_axiom_errors():
                 ),
             )
         )
+
+
+def test_self_pair_entries_violate_axiom_vii():
+    LT, EQ, GT = Relation.LT, Relation.EQ, Relation.GT
+    for entry in (
+        (0, 0, 1, 1, LT),  # self pair strictly below a self pair
+        (0, 0, 1, 2, EQ),  # self pair equal to a proper pair
+        (1, 2, 0, 0, LT),  # proper pair below a self pair
+        (0, 0, 1, 2, GT),  # the same, written the other way round
+    ):
+        with pytest.raises(AxiomViolation) as err:
+            from_comparisons(ComparisonList(3, (entry,)))
+        assert err.value.axiom == "vii", entry
+        assert err.value.witnesses == [entry], entry
+
+
+def test_high_index_first_pairs_normalize():
+    reversed_ = parse_comparisons(fixture_text("chain3_reversed.cmp"))
+    assert reversed_.entries[0][:4] == (1, 0, 2, 0)
+    assert from_comparisons(reversed_) == from_comparisons(
+        parse_comparisons(fixture_text("chain3.cmp"))
+    )
 
 
 def test_comparisons_underdetermined():
