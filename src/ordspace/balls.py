@@ -2,17 +2,18 @@
 
 A ball is determined by a center and a cut of that center's rank spectrum:
 member set {x : rank(c, x) <= t} for t running over the spectrum values.
-Ball identity in a BallSet is the member set; provenance keeps every
-(center, threshold) that produced it. One bitmask kernel, `_cuts`, gives
-each cut as an integer whose bit x is point x; `ball_set` and the census's
-ball counts read it, and `hasse` finds covers with bitsets over the balls.
+Ball identity in a BallSet is the member set alone; `balls_at` still gives
+each center's (center, threshold) chain. One bitmask kernel, `_ball_masks`,
+gives the set of balls as integers whose bit x is point x; `ball_set` sorts
+it, the census's ball counts take its length, and `hasse` finds covers with
+bitsets over the balls.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
 
@@ -39,7 +40,6 @@ class BallSet:
 
     n: int
     members: tuple  # tuple of frozensets
-    provenance: tuple  # tuple of tuples of (center, threshold), aligned
 
     def __len__(self):
         return len(self.members)
@@ -55,6 +55,7 @@ class HasseDiagram:
 
     vertices: tuple  # hashable labels, deterministic order
     arcs: tuple  # (child_index, parent_index)
+    _levels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.vertices)
@@ -65,29 +66,10 @@ class HasseDiagram:
                 raise ValidationError(f"bad arc ({u}, {v})")
         if len(set(self.arcs)) != len(self.arcs):
             raise ValidationError("duplicate arcs")
-        if self._topo_levels() is None:
+        levels = _source_levels(m, self.arcs)
+        if levels is None:
             raise ValidationError("arcs must form an acyclic digraph")
-
-    def _topo_levels(self):
-        """Longest-path-from-a-source level per vertex; None on a cycle."""
-        m = len(self.vertices)
-        indeg = [0] * m
-        succ = [[] for _ in range(m)]
-        for u, v in self.arcs:
-            succ[u].append(v)
-            indeg[v] += 1
-        level = [0] * m
-        queue = [i for i in range(m) if indeg[i] == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for v in succ[u]:
-                level[v] = max(level[v], level[u] + 1)
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        return level if seen == m else None
+        object.__setattr__(self, "_levels", levels)
 
     def invariants(self):
         """Per-vertex (in-degree, out-degree, source level): the refinement
@@ -97,7 +79,28 @@ class HasseDiagram:
         for u, v in self.arcs:
             outd[u] += 1
             ind[v] += 1
-        return list(zip(ind, outd, self._topo_levels()))
+        return list(zip(ind, outd, self._levels))
+
+
+def _source_levels(m, arcs):
+    """Longest-path-from-a-source level per vertex; None on a cycle."""
+    indeg = [0] * m
+    succ = [[] for _ in range(m)]
+    for u, v in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    level = [0] * m
+    queue = [i for i in range(m) if indeg[i] == 0]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        for v in succ[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return level if seen == m else None
 
 
 def spectrum(s: OrdinalSpace, center: int):
@@ -116,18 +119,18 @@ def balls_at(s: OrdinalSpace, center: int):
     return chain
 
 
-def _cuts(row):
-    """The balls at one center as {threshold: member mask}, ascending: the
-    row sorted by rank, prefixes ORed; a tied rank keeps the longest one."""
-    cuts, mask = {}, 0
-    for x in sorted(range(len(row)), key=row.__getitem__):
-        mask |= 1 << x
-        cuts[row[x]] = mask
-    return cuts
-
-
-def _ball_count(rows):
-    return len({mask for row in rows for mask in _cuts(row).values()})
+def _ball_masks(rows):
+    """The distinct balls of a rank matrix as member masks, bit x for point
+    x: each row sorted by rank, prefixes ORed; a tied rank keeps the
+    longest one."""
+    masks = set()
+    for row in rows:
+        cuts, mask = {}, 0
+        for x in sorted(range(len(row)), key=row.__getitem__):
+            mask |= 1 << x
+            cuts[row[x]] = mask
+        masks.update(cuts.values())
+    return masks
 
 
 def _bits(mask):
@@ -138,16 +141,8 @@ def _bits(mask):
 
 
 def ball_set(s: OrdinalSpace) -> BallSet:
-    by_mask = {}
-    for c, row in enumerate(s.ranks):
-        for t, mask in _cuts(row).items():
-            by_mask.setdefault(mask, []).append((c, t))
-    order = sorted(by_mask, key=lambda m: (m.bit_count(), tuple(_bits(m))))
-    return BallSet(
-        n=s.n,
-        members=tuple(frozenset(_bits(m)) for m in order),
-        provenance=tuple(tuple(by_mask[m]) for m in order),
-    )
+    members = sorted((tuple(_bits(m)) for m in _ball_masks(s.ranks)), key=lambda t: (len(t), t))
+    return BallSet(n=s.n, members=tuple(map(frozenset, members)))
 
 
 def hasse(bs: BallSet) -> HasseDiagram:

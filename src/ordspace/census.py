@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .balls import _ball_count, ball_set, hasse, hasse_isomorphic
+from .balls import _ball_masks, ball_set, hasse, hasse_isomorphic
 from .errors import SizeLimitError, SolverError, ValidationError
 from .line import _forced_ordering
 from .space import OrdinalSpace, _pair_perms, all_pairs
@@ -121,7 +121,7 @@ def _rank_rows(n, levels):
 
 def _ball_counts(n, levels):
     """Ball count of each level vector."""
-    return [_ball_count(rows) for rows in _rank_rows(n, levels)]
+    return [len(_ball_masks(rows)) for rows in _rank_rows(n, levels)]
 
 
 def _census_levels(n, filt, huge=False):
@@ -256,7 +256,7 @@ def minimal_hasse_shape_probe(n: int, reference) -> HasseShapeReport:
     if n not in (3, 4):
         raise ValidationError("shape probe covers n = 3 and 4")
     spaces = enumerate_spaces(n, CensusFilter.INJECTIVE)
-    counts = [(_ball_count(s.ranks), s) for s in spaces]
+    counts = [(len(_ball_masks(s.ranks)), s) for s in spaces]
     minimum = min(c for c, _ in counts)
     min_att = [s for c, s in counts if c == minimum]
     bound_att = [s for c, s in counts if c == triangular(n)]

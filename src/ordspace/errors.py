@@ -16,12 +16,10 @@ class AxiomViolation(OrdspaceError):
     witnesses: the input entries that together form the contradiction.
     """
 
-    def __init__(self, axiom, witnesses, message=None):
+    def __init__(self, axiom, witnesses):
         self.axiom = axiom
         self.witnesses = list(witnesses)
-        if message is None:
-            message = f"axiom ({axiom}) violated; witnesses: {self.witnesses}"
-        super().__init__(message)
+        super().__init__(f"axiom ({axiom}) violated; witnesses: {self.witnesses}")
 
 
 class UnderdeterminedOrder(OrdspaceError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SizeLimitError, SolverError, ValidationError
 from .line import embed_line
-from .space import DistanceMatrix, OrdinalSpace, all_pairs, dp_pairs, subspace
+from .space import DistanceMatrix, OrdinalSpace, _ranks_like, all_pairs, dp_pairs, subspace
 
 SCALE_HALVINGS = 32  # realize_simplex's cap; it stops long before
 DESCENT_STEPS = 600  # Adam steps per restart of embed_heuristic
@@ -64,27 +64,17 @@ def cayley_menger(d: DistanceMatrix, points=None) -> CMResult:
     """Bordered determinant of squared distances among the chosen points
     (default: all), computed exactly.
 
-    Denominators are cleared first: scaling every distance by c scales the
-    determinant by c^(2k), which preserves the sign and is divided back out.
+    Denominators are cleared first: scaling every squared distance by q
+    scales the determinant by q^k, which preserves the sign and is divided
+    back out.
     """
     pts = list(range(d.n)) if points is None else list(points)
     if len(set(pts)) != len(pts) or not pts:
         raise ValidationError("points must be distinct and nonempty")
     k = len(pts) - 1
-    c = 1
-    for i in pts:
-        for j in pts:
-            c = math.lcm(c, d.values[i][j].denominator)
-    size = k + 2
-    m = [[0] * size for _ in range(size)]
-    for t in range(1, size):
-        m[0][t] = m[t][0] = 1
-    for a in range(k + 1):
-        for b in range(k + 1):
-            v = d.values[pts[a]][pts[b]] * c
-            m[a + 1][b + 1] = (v * v).numerator  # exact: v is an integer here
-    det_scaled = _bareiss_det(m)
-    value = Fraction(det_scaled, c ** (2 * k))
+    q, num = _cleared([[d.values[i][j] ** 2 for j in pts] for i in pts])
+    m = [[0] + [1] * (k + 1)] + [[1] + row for row in num]
+    value = Fraction(_bareiss_det(m), q**k)
     return CMResult(k, value, (value > 0) - (value < 0))
 
 
@@ -234,8 +224,7 @@ def _squared_matches_space(squared, s):
     """Do the squared distances order exactly like the rank matrix? Squared
     comparisons decide the original ones since distances are positive."""
     num = _cleared(squared)[1]
-    values = [num[i][j] for i, j in all_pairs(s.n)]
-    return all(v > 0 for v in values) and OrdinalSpace.from_values(s.n, values) == s
+    return _ranks_like(s, [num[i][j] for i, j in all_pairs(s.n)])
 
 
 @dataclass(frozen=True)
@@ -331,7 +320,10 @@ def nearest_class_bound(n: int) -> int:
 # heuristic embedder
 
 def _descend(s, dim, rng):
-    """Adam descent on squared hinge + tie losses over pair distances."""
+    """Adam descent on squared hinge + tie losses over pair distances.
+    Nothing pins the centroid, so a restart can drift until float64 maps
+    every point to one value; it is abandoned (None) once the mean distance
+    reaches its floor, before rescaling by it would overflow."""
     n = s.n
     pairs = s.pairs()
     M = len(pairs)
@@ -350,6 +342,8 @@ def _descend(s, dim, rng):
         delta = x[ii] - x[jj]
         dist = np.sqrt((delta**2).sum(axis=1)) + 1e-12
         scale = dist.mean()
+        if scale <= 1e-12:
+            return None
         x /= scale
         delta /= scale
         dist /= scale
@@ -441,7 +435,7 @@ def embed_heuristic(
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         x = _descend(s, dim, rng)
-        means = _class_means(s, x)
+        means = None if x is None else _class_means(s, x)
         if means is None:
             continue
         witness = _witness_from_rational_coords(s, x, dim)
@@ -492,7 +486,9 @@ def menger_probe(
     """Check the subset heuristic: every subspace on at most dim+3 points
     examined next to the whole space. A report of all-embeddable subsets
     with a refuted whole would witness a failure of the subset criterion;
-    the function only reports, it proves nothing beyond the exact parts."""
+    the function only reports, it proves nothing beyond the exact parts.
+    Embeddability is hereditary, so a refuted subset refutes the whole,
+    which is then not examined itself."""
     max_size = min(s.n, dim + 3)
     counts = []
     refuted = []
@@ -508,7 +504,7 @@ def menger_probe(
             else:
                 inc += 1
         counts.append((size, emb, ref, inc))
-    whole = _embedding_status(s, dim, seed, restarts)
+    whole = NOT_EMBEDDABLE_STATUS if refuted else _embedding_status(s, dim, seed, restarts)
     if whole == INCONCLUSIVE:
         consistent = None
     elif whole == EMBEDDABLE or refuted:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import simplex
 from .errors import SizeLimitError, SolverError, ValidationError
-from .space import DistanceMatrix, OrdinalSpace, _top_pairs, dp_pairs, ordinal_type
+from .space import OrdinalSpace, _ranks_like, _top_pairs, dp_pairs
 
 DEFAULT_LIMIT = 8
 
@@ -244,16 +244,6 @@ class LineWitness:
             coords.append(coords[-1] + g)
         return tuple(coords)
 
-    def distance_matrix(self):
-        n = len(self.ordering)
-        coords = self.coordinates()
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for p in range(n):
-            for q in range(p + 1, n):
-                i, j = self.ordering[p], self.ordering[q]
-                rows[i][j] = rows[j][i] = coords[q] - coords[p]
-        return DistanceMatrix(n, tuple(tuple(r) for r in rows))
-
 
 def _margin_lp(s, ordering):
     """Margin-maximizing LP for a fixed point order; a witness exists for
@@ -287,9 +277,9 @@ def _margin_lp(s, ordering):
         raise SolverError("margin LP unbounded; constraint assembly is broken")
     if status != simplex.OPTIMAL or value <= 0:
         return None
-    gaps = tuple(x[:m])
-    witness = LineWitness(tuple(ordering), gaps, x[m])
-    if ordinal_type(witness.distance_matrix()) != s:
+    witness = LineWitness(tuple(ordering), tuple(x[:m]), x[m])
+    at = dict(zip(ordering, witness.coordinates()))
+    if not _ranks_like(s, [abs(at[i] - at[j]) for i, j in s.pairs()]):
         raise SolverError("line witness failed exact re-verification")
     return witness
 
@@ -336,12 +326,6 @@ def _pattern_tag(d12, d13, d23, d24, d34):
     if c_12_23 == "EQ":
         return "d13"
     return "d15"
-
-
-CASE_TAGS = (
-    "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8",
-    "d9", "d10", "d11", "d12", "d13", "d15",
-)
 
 
 def classify_four_point(s: OrdinalSpace):

@@ -48,6 +48,18 @@ def all_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _dense_levels(values):
+    """Dense ranks: the distinct values ascending get levels 1..k."""
+    level = {v: r for r, v in enumerate(sorted(set(values)), 1)}
+    return [level[v] for v in values]
+
+
+def _ranks_like(s, values):
+    """The exact re-check of a witness: are the pair values, in all_pairs
+    order, positive and ranked exactly like s?"""
+    return all(v > 0 for v in values) and tuple(_dense_levels(values)) == s.level_vector()
+
+
 @dataclass(frozen=True)
 class OrdinalSpace:
     """Normalized rank matrix of a finite ordinal space."""
@@ -97,9 +109,8 @@ class OrdinalSpace:
     @staticmethod
     def from_values(n, values):
         """The space whose pair ranks, in all_pairs order, are the dense
-        ranks of values: the distinct values ascending get levels 1..k."""
-        level = {v: r for r, v in enumerate(sorted(set(values)), 1)}
-        return OrdinalSpace.from_levels(n, [level[v] for v in values])
+        ranks of values."""
+        return OrdinalSpace.from_levels(n, _dense_levels(values))
 
     def relation(self, x, y, z, w):
         """delta(x, y, z, w) as a Relation; degenerate pairs rank 0."""

@@ -17,11 +17,11 @@ from conftest import (
     relabel,
     space_from_values,
 )
-from ordspace import cli
+from ordspace import balls, cli
 from ordspace.balls import (
     BallSet,
     HasseDiagram,
-    _ball_count,
+    _ball_masks,
     ball_preserving_bijection,
     ball_set,
     balls_at,
@@ -235,18 +235,8 @@ def test_dot_output_is_stable_and_labeled():
 
 def chain_ball_set(s):
     """Ball set read off the ball chains of balls_at, one frozenset each."""
-    by_members = {}
-    for c in range(s.n):
-        for b in balls_at(s, c):
-            by_members.setdefault(frozenset(b.members), []).append(
-                (b.center, b.threshold)
-            )
-    order = sorted(by_members, key=lambda m: (len(m), sorted(m)))
-    return BallSet(
-        n=s.n,
-        members=tuple(order),
-        provenance=tuple(tuple(sorted(by_members[m])) for m in order),
-    )
+    found = {frozenset(b.members) for c in range(s.n) for b in balls_at(s, c)}
+    return BallSet(n=s.n, members=tuple(sorted(found, key=lambda m: (len(m), sorted(m)))))
 
 
 def cubic_hasse(bs):
@@ -282,7 +272,7 @@ def test_ball_set_and_hasse_match_the_set_definitions(s):
     bs = ball_set(s)
     assert repr(bs) == repr(chain_ball_set(s))
     assert hasse(bs) == cubic_hasse(bs)
-    assert _ball_count(s.ranks) == len(bs)
+    assert len(_ball_masks(s.ranks)) == len(bs)
 
 
 def test_ball_counts_match_ball_set_on_census_classes():
@@ -291,7 +281,7 @@ def test_ball_counts_match_ball_set_on_census_classes():
     for n, filt in cases:
         spaces = enumerate_spaces(n, filt)
         expected = [len(ball_set(s)) for s in spaces]
-        assert [_ball_count(s.ranks) for s in spaces] == expected
+        assert [len(_ball_masks(s.ranks)) for s in spaces] == expected
         assert _ball_counts(n, [s.level_vector() for s in spaces]) == expected
 
 
@@ -318,3 +308,24 @@ def test_balls_and_hasse_commands_match_the_set_definitions(monkeypatch):
     monkeypatch.setattr(cli, "ball_set", chain_ball_set)
     monkeypatch.setattr(cli, "hasse", cubic_hasse)
     assert got == [_cli_output(*args) for args in runs]
+
+
+def test_hasse_levels_are_computed_once_per_diagram(monkeypatch):
+    calls = []
+    levels = balls._source_levels
+
+    def counted(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(balls, "_source_levels", counted)
+    h = hasse(ball_set(load_space("tree5_a.ord")))
+    first, second = h.invariants(), h.invariants()
+    assert len(calls) == 1
+    assert first == second and [lv for _, _, lv in first] == levels(*calls[0])
+
+
+def test_ball_preserving_bijection_needs_equal_point_counts():
+    two, three = space_from_values(2, [1]), space_from_values(3, [1, 2, 3])
+    assert ball_preserving_bijection(two, three) is None
+    assert ball_preserving_bijection(three, two) is None

@@ -7,8 +7,11 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 
-from conftest import FIXTURES, random_space
+import pytest
+
+from conftest import FIXTURES, collinear, random_space, space_from_values
 from ordspace import __version__
 from ordspace.cli import main
 from ordspace.formats import format_rank_matrix
@@ -167,6 +170,39 @@ def test_embednd_inconclusive():
     code, out, _ = run("embednd", fx("allequal5.ord"), "--dim", "2", "--restarts", "2")
     assert code == 1
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (2, 2), (3, 1)])
+def test_embednd_abandons_a_drifting_restart_quietly(dim, seed):
+    # one restart of each run drifts until float64 merges its points; it is
+    # dropped before its rescaling overflows, so numpy has nothing to warn of
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run("embednd", fx("allequal5.ord"), "--dim", dim, "--seed", seed)
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert code == 1
+    assert out.splitlines() == [
+        f"# ordspace {__version__} seed={seed}",
+        f"no verified embedding into R^{dim} found",
+        "inconclusive: heuristic search failure is not a refutation",
+    ]
+
+
+def test_menger_probe_refuted_subset_refutes_the_whole(tmp_path):
+    # nine points are past embed_line's guard; a refuted subset still decides
+    cases = [
+        (space_from_values(9, list(range(36))), 1, "NOT_EMBEDDABLE", "yes"),
+        (collinear(0, 1, 3, 7, 12, 20, 33, 54, 88), 0, "INCONCLUSIVE", "unknown"),
+    ]
+    for s, exit_code, whole, consistent in cases:
+        f = tmp_path / "nine.ord"
+        f.write_text(format_rank_matrix(s))
+        code, out, err = run("menger-probe", f, "--dim", "1")
+        assert (code, err) == (exit_code, "")
+        assert out.splitlines()[-2:] == [
+            f"whole space: {whole}",
+            f"subset criterion consistent: {consistent}",
+        ]
 
 
 def test_check_r2_golden():

@@ -424,3 +424,24 @@ def test_menger_probe_inconclusive():
     rep = menger_probe(load_space("min3.ord"), 2, restarts=0)
     assert rep.whole_status == INCONCLUSIVE
     assert rep.conjecture_consistent is None
+
+
+def test_menger_probe_refuted_subset_refutes_the_whole():
+    # every four-point subset of nine points with distinct ranks in pair
+    # order is refuted, so the whole is decided without embed_line, whose
+    # guard stops at eight points; nine collinear points stay undecided
+    rep = menger_probe(space_from_values(9, list(range(36))), 1)
+    assert rep.subset_counts == ((2, 36, 0, 0), (3, 84, 0, 0), (4, 0, 126, 0))
+    assert rep.whole_status == NOT_EMBEDDABLE_STATUS
+    assert rep.conjecture_consistent is True
+    rep = menger_probe(collinear(0, 1, 3, 7, 12, 20, 33, 54, 88), 1)
+    assert rep.subset_counts == ((2, 36, 0, 0), (3, 84, 0, 0), (4, 126, 0, 0))
+    assert rep.whole_status == INCONCLUSIVE
+    assert rep.conjecture_consistent is None
+
+
+def test_exact_checks_on_degenerate_inputs():
+    assert plane_necessary_check(space_from_values(1, [])) == (True, [])
+    # the unit triangle needs the plane
+    unit_triangle = tuple(tuple(Fraction(int(i != j)) for j in range(3)) for i in range(3))
+    assert _certificate_from_squared(unit_triangle, dim=1) is None

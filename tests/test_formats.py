@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import contextlib
+import io
+
 import pytest
 
 from conftest import fixture_text, load_hasse, load_space, random_space
-from ordspace.balls import ball_set, hasse, hasse_isomorphic
+from ordspace.balls import HasseDiagram, ball_set, hasse, hasse_isomorphic
+from ordspace.cli import main
 from ordspace.errors import ValidationError
 from ordspace.formats import (
     format_comparisons,
@@ -105,3 +109,41 @@ def test_hasse_errors():
         parse_hasse("hasse 1\nv 1 : 0\n")  # ids are 1-based
     with pytest.raises(ValidationError):
         parse_hasse("hasse 1\nw 1 : 1\n")  # unknown directive
+
+
+# (parser, text, message, subcommand reading that format or None)
+PARSE_ERRORS = [
+    (parse_rank_matrix, "3 x\n", "bad header", "balls"),
+    (parse_distance_csv, "", "empty distance file", "ordtype"),
+    (parse_comparisons, "", "empty comparison file", "validate"),
+    (parse_comparisons, "three\n", "bad point count", "validate"),
+    (parse_comparisons, "3\n1 a 1 3 LT\n", "bad point index", "validate"),
+    (parse_hasse, "diagram 2\n", "expected header", None),
+    (parse_hasse, "hasse two\n", "bad vertex count", None),
+    (parse_hasse, "hasse 1\nv 1 1\n", "expected 'v ID : members'", None),
+    (parse_hasse, "hasse 1\nv x : 1\n", "bad vertex line", None),
+    (parse_hasse, "hasse 1\nv 1 : 1\na 1\n", "expected 'a CHILD PARENT'", None),
+    (parse_hasse, "hasse 1\nv 1 : 1\na 1 x\n", "bad arc line", None),
+    # well-formed files that HasseDiagram itself rejects
+    (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1\n", "duplicate vertices", None),
+    (parse_hasse, "hasse 1\nv 1 : 1\na 1 1\n", r"bad arc \(0, 0\)", None),
+    (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\na 1 2\na 1 2\n", "duplicate arcs", None),
+    (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\na 1 2\na 2 1\n", "acyclic", None),
+]
+
+
+def test_parse_errors_are_validation_errors(tmp_path):
+    suffix = {parse_rank_matrix: ".ord", parse_distance_csv: ".csv", parse_comparisons: ".cmp"}
+    for parse, text, message, command in PARSE_ERRORS:
+        with pytest.raises(ValidationError, match=message):
+            parse(text)
+        if command is not None:
+            f = tmp_path / ("input" + suffix[parse])
+            f.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(f)])
+            assert code == 2 and out.getvalue() == "", text
+            assert err.getvalue().startswith("input error") and message in err.getvalue(), text
+    with pytest.raises(ValidationError, match="set-labeled"):
+        format_hasse(HasseDiagram((1, 2), ((0, 1),)))

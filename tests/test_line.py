@@ -268,6 +268,8 @@ GOLDEN_ENUMERATIONS = {
     "min3.ord": (0, 1, 2),
     "min4.ord": (0, 1, 2, 3),
     "allequal5.ord": None,
+    "converse6_a.ord": (0, 1, 2, 3, 4, 5),
+    "converse6_b.ord": (0, 1, 2, 3, 4, 5),
     "menger5.ord": None,
     "seven_swap.ord": None,
     "table6.ord": None,
@@ -570,3 +572,62 @@ def test_conjecture_probe_on_injective_five_point_census():
         "must_hold_failures": [],
         "conjecture_counterexamples": [],
     }
+
+
+# five strict rank inequalities (lower pair < higher pair) of each n = 6
+# converse counterexample whose gap coefficients cancel: on the line, their
+# differences d(lower) - d(higher) < 0 add up to 0 < 0, so no gaps satisfy
+# all five
+CONVERSE6_OBSTRUCTIONS = {
+    "converse6_a.ord": [
+        ((2, 3), (3, 4)), ((1, 2), (2, 4)), ((0, 1), (1, 3)), ((1, 4), (4, 5)), ((3, 5), (0, 2)),
+    ],
+    "converse6_b.ord": [
+        ((3, 4), (2, 3)), ((2, 4), (1, 2)), ((1, 3), (0, 1)), ((4, 5), (1, 4)), ((0, 3), (2, 5)),
+    ],
+}
+
+
+def _nondecreasing(n, length):
+    return itertools.combinations_with_replacement(range(1, n + 1), length)
+
+
+def test_majorization_converse_fails_at_six_points():
+    """The converse (a majorizing enumeration implies a line embedding)
+    fails, in the library's formalisation of majorizing, on two six-point
+    spaces: the identity majorizes them, by check_majorization and by brute
+    force over every equal-length pair of short sequences, yet no gaps
+    realize them on the line."""
+    spaces = []
+    for name, obstruction in CONVERSE6_OBSTRUCTIONS.items():
+        s = load_space(name)
+        spaces.append(s)
+        ident = tuple(range(s.n))
+        assert _forced_ordering(s.ranks) == ident
+        assert find_majorizing_enumeration(s) == ident
+        compared = 0
+        for length in range(2, 5):
+            for a, b in itertools.product(list(_nondecreasing(s.n, length)), repeat=2):
+                rel = compare_sequences(s, a, b, ident)
+                end_a = s.ranks[a[0] - 1][a[-1] - 1]
+                end_b = s.ranks[b[0] - 1][b[-1] - 1]
+                assert rel is not SeqRelation.PREC or end_a < end_b, (name, a, b)
+                assert rel is not SeqRelation.EQUIV or end_a == end_b, (name, a, b)
+                compared += 1
+        assert compared == 19453
+        assert embed_line(s) is None
+        total = [0] * (s.n - 1)
+        for lower, higher in obstruction:
+            assert s.ranks[lower[0]][lower[1]] < s.ranks[higher[0]][higher[1]], name
+            for (i, j), sign in ((lower, 1), (higher, -1)):
+                for g in range(i, j):
+                    total[g] += sign
+        assert total == [0] * (s.n - 1), name
+    report = probe_majorization_conjecture(spaces)
+    assert report["must_hold_failures"] == []
+    assert report["conjecture_counterexamples"] == spaces
+
+
+def test_profile_check_names_an_oversized_class():
+    s = OrdinalSpace.from_values(4, [1, 2, 3, 3, 3, 4])
+    assert profile_necessary_check(s) == (False, "class 2 has 3 > 2 pairs")

@@ -197,7 +197,5 @@ def test_metric_probe_on_all_three_point_types():
 
 
 def test_metric_probe_sampling_and_validation():
-    report = d_ord_is_metric_probe(THREE_POINT_TYPES, max_triples=10, seed=1)
-    assert report.ok and report.triples_checked == 10
     with pytest.raises(ValidationError):
         d_ord_is_metric_probe([THREE_POINT_TYPES[0], space_from_values(2, [1])])

@@ -306,3 +306,32 @@ def test_axioms_exhaustive_small():
                 assert ac is Relation.LT
             if ab in (Relation.LT, Relation.EQ) and bc is Relation.LT:
                 assert ac is Relation.LT
+
+
+def test_constructor_errors():
+    LT = Relation.LT
+    cases = [
+        (lambda: OrdinalSpace(0, 0, ()), "at least one point"),
+        (lambda: OrdinalSpace(2, 1, ((0, 1), (1,))), "shape"),
+        (lambda: OrdinalSpace(2, 1, ((0, 2), (2, 0))), "outside 1..1"),
+        (lambda: DistanceMatrix(0, ()), "at least one point"),
+        (lambda: DistanceMatrix.from_rows([[0, 1], [1]]), "shape"),
+        (lambda: DistanceMatrix.from_rows([[1, 1], [1, 0]]), "diagonal"),
+        (lambda: DistanceMatrix.from_rows([[0, 1], [2, 0]]), "symmetric"),
+        (lambda: DistanceMatrix.from_rows([[0, 0], [0, 0]]), "positive"),
+        (lambda: ComparisonList(0, ()), "at least one point"),
+        (lambda: ComparisonList(2, ((0, 1, 0, 1),)), "5-tuple"),
+        (lambda: ComparisonList(2, ((0, 1, 0, 2, LT),)), "out of range"),
+        (lambda: ComparisonList(2, ((0, 1, 0, 1, "<"),)), "bad relation"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
+def test_self_pair_entries_consistent_with_axiom_vii_change_nothing():
+    chain = parse_comparisons(fixture_text("chain3.cmp"))
+    LT, EQ, GT = Relation.LT, Relation.EQ, Relation.GT
+    extra = ((0, 0, 1, 1, EQ), (0, 0, 1, 2, LT), (1, 2, 0, 0, GT))
+    padded = ComparisonList(chain.n, chain.entries + extra)
+    assert from_comparisons(padded) == from_comparisons(chain)
