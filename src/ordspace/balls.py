@@ -38,14 +38,10 @@ class Ball:
 class BallSet:
     """All distinct balls of a space, sorted by (size, members)."""
 
-    n: int
     members: tuple  # tuple of frozensets
 
     def __len__(self):
         return len(self.members)
-
-    def as_sets(self):
-        return set(self.members)
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def _bits(mask):
 
 def ball_set(s: OrdinalSpace) -> BallSet:
     members = sorted((tuple(_bits(m)) for m in _ball_masks(s.ranks)), key=lambda t: (len(t), t))
-    return BallSet(n=s.n, members=tuple(map(frozenset, members)))
+    return BallSet(members=tuple(map(frozenset, members)))
 
 
 def hasse(bs: BallSet) -> HasseDiagram:
@@ -220,28 +216,11 @@ def ball_preserving_bijection(a: OrdinalSpace, b: OrdinalSpace):
         raise SizeLimitError("ball preserving bijection", a.n, PERM_LIMIT)
     if a.n != b.n:
         return None
-    balls_a = ball_set(a).as_sets()
-    balls_b = ball_set(b).as_sets()
+    balls_a = set(ball_set(a).members)
+    balls_b = set(ball_set(b).members)
     if len(balls_a) != len(balls_b):
         return None
     for f in itertools.permutations(range(b.n)):
         if all(frozenset(f[x] for x in ball) in balls_b for ball in balls_a):
             return f
     return None
-
-
-def hasse_dot(h: HasseDiagram) -> str:
-    """Deterministic DOT rendering; set-valued vertices get {x1,x2} labels."""
-    lines = ["digraph hasse {"]
-    for i, v in enumerate(h.vertices):
-        lines.append(f'  v{i} [label="{_vertex_label(v)}"];')
-    for u, v in sorted(h.arcs):
-        lines.append(f"  v{u} -> v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _vertex_label(v):
-    if isinstance(v, frozenset):
-        return "{" + ",".join(f"x{p + 1}" for p in sorted(v)) + "}"
-    return str(v)

@@ -70,7 +70,7 @@ def _orderly_levels(n, injective):
     """
     p = n * (n - 1) // 2
     identity = tuple(range(p))
-    perms = [pg for _, pg in _pair_perms(n) if pg != identity]
+    perms = [pg for pg in _pair_perms(n) if pg != identity]
     v = [0] * p
     uses = [0] * (p + 1)
     out = []
@@ -188,7 +188,6 @@ def burnside_count(n: int, filt: CensusFilter = CensusFilter.ALL) -> int:
 
 @dataclass(frozen=True)
 class BallExtremes:
-    n: int
     max_balls: int | None
     max_witness: OrdinalSpace | None
     min_balls_distinct: int | None
@@ -217,7 +216,7 @@ def _extremes(n, levels, full, injective):
         min_balls, min_witness = counts[i], OrdinalSpace.from_levels(n, levels[i])
     prefix = A263511_PREFIX[n - 1] if n <= len(A263511_PREFIX) else None
     return BallExtremes(
-        n, max_balls, max_witness, min_balls, min_witness,
+        max_balls, max_witness, min_balls, min_witness,
         _verdict(max_balls, prefix), _verdict(min_balls, triangular(n)),
     )
 
@@ -230,7 +229,6 @@ class HasseShapeReport:
     the classes attaining exactly n(n+1)/2 balls (these coincide when the
     conjectured bound is the true minimum)."""
 
-    n: int
     min_balls: int
     expected_min: int
     min_attainers: int
@@ -264,7 +262,6 @@ def minimal_hasse_shape_probe(n: int, reference) -> HasseShapeReport:
     min_match = sum(map(matches, min_att))
     mismatches = tuple(s for s in bound_att if not matches(s))
     return HasseShapeReport(
-        n=n,
         min_balls=minimum,
         expected_min=triangular(n),
         min_attainers=len(min_att),

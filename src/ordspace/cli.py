@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .balls import ball_set, hasse, hasse_dot, hasse_isomorphic
+from .balls import ball_set, hasse, hasse_isomorphic
 from .census import CensusFilter, census_report
 from .errors import (
     AxiomViolation,
@@ -24,14 +24,18 @@ from .errors import (
     UnderdeterminedOrder,
     ValidationError,
 )
-from .euclid import embed_heuristic, menger_probe, plane_necessary_check
+from .euclid import NOT_EMBEDDABLE_STATUS, embed_heuristic, menger_probe, plane_necessary_check
 from .formats import (
     _scalar_str,
     format_hasse,
     format_rank_matrix,
+    hasse_dot,
     parse_comparisons,
     parse_distance_csv,
     parse_rank_matrix,
+    pair_label,
+    point_label,
+    point_set_label,
 )
 from .line import (
     DEFAULT_LIMIT as LINE_LIMIT,
@@ -69,10 +73,6 @@ def _load_space(path):
     return parse_rank_matrix(_read(path))
 
 
-def _pt(i):
-    return f"x{i + 1}"
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return _scalar_str(obj)
@@ -101,10 +101,6 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _member_str(members):
-    return "{" + ",".join(_pt(p) for p in sorted(members)) + "}"
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
@@ -125,7 +121,7 @@ def cmd_validate(args):
         s = from_comparisons(c)
     except AxiomViolation as exc:
         shown = [
-            f"d({_pt(x)},{_pt(y)}) {rel.value} d({_pt(z)},{_pt(w)})"
+            f"d{pair_label(x, y)} {rel.value} d{pair_label(z, w)}"
             for x, y, z, w, rel in exc.witnesses
         ]
         _emit(
@@ -151,9 +147,9 @@ def cmd_validate(args):
             [
                 "invalid: comparisons leave two pair classes unordered",
                 "classes: "
-                + " ".join(f"({_pt(x)},{_pt(y)})" for x, y in exc.class_a)
+                + " ".join(pair_label(*p) for p in exc.class_a)
                 + " vs "
-                + " ".join(f"({_pt(x)},{_pt(y)})" for x, y in exc.class_b),
+                + " ".join(pair_label(*p) for p in exc.class_b),
             ],
         )
         return EXIT_NEGATIVE
@@ -176,7 +172,7 @@ def cmd_iso(args):
             [f"not isomorphic; Hasse diagrams isomorphic: {hword}"],
         )
         return EXIT_NEGATIVE
-    mapping = " ".join(f"{_pt(i)}->{_pt(f[i])}" for i in range(a.n))
+    mapping = " ".join(f"{point_label(i)}->{point_label(f[i])}" for i in range(a.n))
     _emit(
         args,
         {"isomorphic": True, "witness": list(f), "hasse_isomorphic": hi},
@@ -189,16 +185,13 @@ def cmd_dord(args):
     a = _load_space(args.a)
     b = _load_space(args.b)
     res = d_ord(a, b, limit=args.limit)
-    mapping = " ".join(f"{_pt(i)}->{_pt(res.witness[i])}" for i in range(a.n))
+    mapping = " ".join(f"{point_label(i)}->{point_label(res.witness[i])}" for i in range(a.n))
     lines = [
         f"d_ord = {res.value}",
         f"witness: {mapping}",
         f"disagreeing pair couples: {len(res.disagreements)}",
     ]
-    lines.extend(
-        f"  ({_pt(pa[0])},{_pt(pa[1])}) vs ({_pt(pb[0])},{_pt(pb[1])})"
-        for pa, pb in res.disagreements
-    )
+    lines.extend(f"  {pair_label(*pa)} vs {pair_label(*pb)}" for pa, pb in res.disagreements)
     payload = {
         "value": res.value,
         "witness": list(res.witness),
@@ -218,7 +211,7 @@ def cmd_balls(args):
     s = _load_space(args.file)
     bs = ball_set(s)
     lines = [str(len(bs))]
-    lines.extend(_member_str(m) for m in bs.members)
+    lines.extend(map(point_set_label, bs.members))
     _emit(
         args,
         {
@@ -260,7 +253,7 @@ def cmd_embed1d(args):
             ["not embeddable in the line", f"obstruction: {note}"],
         )
         return EXIT_NEGATIVE
-    order = " ".join(_pt(p) for p in w.ordering)
+    order = " ".join(point_label(p) for p in w.ordering)
     gaps = ", ".join(f"{_scalar_str(g)} ({float(g):.6g})" for g in w.gaps)
     _emit(
         args,
@@ -308,13 +301,13 @@ def cmd_embednd(args):
         for i, row in enumerate(w.coords):
             exact = ", ".join(_scalar_str(c) for c in row)
             approx = ", ".join(f"{float(c):.6g}" for c in row)
-            lines.append(f"{_pt(i)}: ({exact})  ~ ({approx})")
+            lines.append(f"{point_label(i)}: ({exact})  ~ ({approx})")
     else:
         lines.append("exactness certified via squared-distance factorization;")
         lines.append("coordinates below are display approximations")
         for i, row in enumerate(w.coords):
             approx = ", ".join(f"{float(c):.6g}" for c in row)
-            lines.append(f"{_pt(i)}: ({approx})")
+            lines.append(f"{point_label(i)}: ({approx})")
     _emit(
         args,
         {
@@ -418,7 +411,7 @@ def cmd_menger_probe(args):
         },
         lines,
     )
-    return EXIT_NEGATIVE if rep.whole_status == "NOT_EMBEDDABLE" else EXIT_OK
+    return EXIT_NEGATIVE if rep.whole_status == NOT_EMBEDDABLE_STATUS else EXIT_OK
 
 
 # -- wiring -----------------------------------------------------------------
@@ -432,55 +425,44 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"ordspace {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *positionals):
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="report rendering (default text)",
         )
         sp.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in output")
+        for positional in positionals:
+            sp.add_argument(positional)
         sp.set_defaults(func=handler)
         return sp
 
-    sp = add("ordtype", cmd_ordtype, "rank matrix of a distance CSV")
-    sp.add_argument("file")
+    add("ordtype", cmd_ordtype, "rank matrix of a distance CSV", "file")
+    add("validate", cmd_validate, "check a comparison list against the ordinal-space axioms", "file")
+    add("iso", cmd_iso, "decide isomorphism of two spaces; also compares ball diagrams", "a", "b")
 
-    sp = add("validate", cmd_validate, "check a comparison list against the ordinal-space axioms")
-    sp.add_argument("file")
-
-    sp = add("iso", cmd_iso, "decide isomorphism of two spaces; also compares ball diagrams")
-    sp.add_argument("a")
-    sp.add_argument("b")
-
-    sp = add("dord", cmd_dord, "minimum pair-comparison disagreements over bijections")
-    sp.add_argument("a")
-    sp.add_argument("b")
+    sp = add("dord", cmd_dord, "minimum pair-comparison disagreements over bijections", "a", "b")
     sp.add_argument("--oracle", action="store_true", help="cross-check with the quadruple-counting oracle")
     sp.add_argument("--limit", type=_positive_int, default=DORD_LIMIT,
                     help=f"point-count guard (default {DORD_LIMIT})")
 
-    sp = add("balls", cmd_balls, "count and list all distinct balls")
-    sp.add_argument("file")
+    add("balls", cmd_balls, "count and list all distinct balls", "file")
 
-    sp = add("hasse", cmd_hasse, "covering digraph of the ball set under inclusion")
-    sp.add_argument("file")
+    sp = add("hasse", cmd_hasse, "covering digraph of the ball set under inclusion", "file")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
 
-    sp = add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?")
-    sp.add_argument("file")
+    sp = add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?", "file")
     sp.add_argument("--limit", type=_positive_int, default=LINE_LIMIT,
                     help=f"point-count guard (default {LINE_LIMIT})")
 
-    sp = add("t10", cmd_t10, "four-point classifier: inequality-pattern case tag or NOT_EMBEDDABLE")
-    sp.add_argument("file")
+    add("t10", cmd_t10, "four-point classifier: inequality-pattern case tag or NOT_EMBEDDABLE", "file")
 
-    sp = add("embednd", cmd_embednd, "search a verified embedding into R^dim (failure is inconclusive)")
-    sp.add_argument("file")
+    sp = add("embednd", cmd_embednd,
+             "search a verified embedding into R^dim (failure is inconclusive)", "file")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--restarts", type=_positive_int, default=32)
 
-    sp = add("check-r2", cmd_check_r2, "necessary conditions for embeddability in the plane")
-    sp.add_argument("file")
+    add("check-r2", cmd_check_r2, "necessary conditions for embeddability in the plane", "file")
 
     sp = add("census", cmd_census, "enumerate isomorphism classes and ball extremes")
     sp.add_argument("--n", type=int, required=True)
@@ -488,8 +470,7 @@ def build_parser():
     sp.add_argument("--huge", action="store_true", help="allow the large n=5 full enumeration")
     sp.add_argument("--out", help="also write the JSON report to this path")
 
-    sp = add("menger-probe", cmd_menger_probe, "subset embeddability statistics for one space")
-    sp.add_argument("file")
+    sp = add("menger-probe", cmd_menger_probe, "subset embeddability statistics for one space", "file")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--restarts", type=_positive_int, default=16)
 

@@ -457,7 +457,6 @@ class MengerReport:
     refuted_subsets: tuple
     whole_status: str
     conjecture_consistent: bool | None
-    seed: int
 
 
 EMBEDDABLE = "EMBEDDABLE"
@@ -518,5 +517,4 @@ def menger_probe(
         refuted_subsets=tuple(refuted),
         whole_status=whole,
         conjecture_consistent=consistent,
-        seed=seed,
     )

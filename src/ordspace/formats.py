@@ -1,8 +1,11 @@
 """Text formats for spaces, distance matrices, comparison lists, and ball
-inclusion diagrams.
+inclusion diagrams, and every printed name of a point.
 
 All formats allow blank lines and '#' comment lines. Point indices in files
-are 1-based; the Python API is 0-based throughout.
+are 1-based; the Python API is 0-based throughout. In reports point i is
+`point_label(i)`, x1 for index 0, a pair is `pair_label`, (x1,x2), and a
+set of points is `point_set_label`, {x1,x2}; `hasse_dot` writes a diagram
+as Graphviz DOT with those set labels.
 
 rank matrix      line "n k", then n rows of n integers
 distance matrix  n rows of n comma-separated values, decimal or p/q literals
@@ -190,18 +193,46 @@ def parse_hasse(text: str) -> HasseDiagram:
     )
 
 
+def point_label(i):
+    return f"x{i + 1}"
+
+
+def point_set_label(members):
+    return "{" + ",".join(map(point_label, sorted(members))) + "}"
+
+
+def pair_label(x, y):
+    return f"({point_label(x)},{point_label(y)})"
+
+
+def _set_vertices(h: HasseDiagram):
+    """The vertices of a diagram that has a text form: sets of points."""
+    if not all(isinstance(v, frozenset) for v in h.vertices):
+        raise ValidationError("only set-labeled diagrams have a text form")
+    return h.vertices
+
+
 def format_hasse(h: HasseDiagram) -> str:
     """Write a diagram whose vertices are frozensets of point indices.
     Vertices are emitted sorted by (size, members) for stable bytes."""
-    for v in h.vertices:
-        if not isinstance(v, frozenset):
-            raise ValidationError("only set-labeled diagrams have a text form")
-    order = sorted(range(len(h.vertices)), key=lambda i: (len(h.vertices[i]), sorted(h.vertices[i])))
+    vertices = _set_vertices(h)
+    order = sorted(range(len(vertices)), key=lambda i: (len(vertices[i]), sorted(vertices[i])))
     new_id = {old: pos + 1 for pos, old in enumerate(order)}
-    lines = [f"hasse {len(h.vertices)}"]
+    lines = [f"hasse {len(vertices)}"]
     for pos, old in enumerate(order):
-        members = " ".join(str(p + 1) for p in sorted(h.vertices[old]))
+        members = " ".join(str(p + 1) for p in sorted(vertices[old]))
         lines.append(f"v {pos + 1} : {members}")
     for u, v in sorted((new_id[u], new_id[v]) for u, v in h.arcs):
         lines.append(f"a {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def hasse_dot(h: HasseDiagram) -> str:
+    """Deterministic DOT rendering in vertex order, {x1,x2} labels."""
+    lines = ["digraph hasse {"]
+    for i, v in enumerate(_set_vertices(h)):
+        lines.append(f'  v{i} [label="{point_set_label(v)}"];')
+    for u, v in sorted(h.arcs):
+        lines.append(f"  v{u} -> v{v};")
+    lines.append("}")
     return "\n".join(lines) + "\n"

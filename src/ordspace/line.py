@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import simplex
 from .errors import SizeLimitError, SolverError, ValidationError
-from .space import OrdinalSpace, _ranks_like, _top_pairs, dp_pairs
+from .space import OrdinalSpace, Relation, _cmp, _ranks_like, _top_pairs, dp_pairs
 
 DEFAULT_LIMIT = 8
 
@@ -165,30 +165,25 @@ def check_majorization(
     return MajorizationResult(True, None)
 
 
-def _is_nested(ranks, e):
-    """Nesting condition of the ordering e: every pair strictly inside
-    (i, j) ranks strictly below it. Shrinking (i, j) by one step at either
-    end reaches every inner pair, so the adjacent steps suffice."""
-    r = [[ranks[a][b] for b in e] for a in e]
+def _is_nested(r):
+    """Nesting condition of an ordering, on its rank matrix r read along
+    it: every pair strictly inside (i, j) ranks strictly below it.
+    Shrinking (i, j) by one step at either end reaches every inner pair, so
+    the adjacent steps suffice."""
     return all(
         r[i][j] > r[i + 1][j] and r[i][j] > r[i][j - 1]
-        for i in range(len(e))
-        for j in range(i + 2, len(e))
+        for i in range(len(r))
+        for j in range(i + 2, len(r))
     )
 
 
-def _cmp_name(a, b):
-    return "LT" if a < b else "GT" if a > b else "EQ"
-
-
-def _crosses(ranks, e):
-    """Crossing condition of the ordering e: for positions i < k < j < l,
-    (i, j) compares with (k, l) as (i, k) does with (j, l). On a line
-    d(i, j) - d(k, l) = d(i, k) - d(j, l)."""
-    r = [[ranks[a][b] for b in e] for a in e]
+def _crosses(r):
+    """Crossing condition of an ordering, on its rank matrix r read along
+    it: for positions i < k < j < l, (i, j) compares with (k, l) as (i, k)
+    does with (j, l). On a line d(i, j) - d(k, l) = d(i, k) - d(j, l)."""
     return all(
-        _cmp_name(r[i][j], r[k][l]) == _cmp_name(r[i][k], r[j][l])
-        for i, k, j, l in itertools.combinations(range(len(e)), 4)
+        _cmp(r[i][j], r[k][l]) is _cmp(r[i][k], r[j][l])
+        for i, k, j, l in itertools.combinations(range(len(r)), 4)
     )
 
 
@@ -209,7 +204,8 @@ def _forced_ordering(ranks):
     if len(top) != 1:
         return None
     e = tuple(sorted(range(len(ranks)), key=ranks[top[0][0]].__getitem__))
-    return e if _is_nested(ranks, e) and _crosses(ranks, e) else None
+    r = [[ranks[a][b] for b in e] for a in e]
+    return e if _is_nested(r) and _crosses(r) else None
 
 
 def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
@@ -306,24 +302,24 @@ def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
 
 NOT_EMBEDDABLE = None
 
-_EQUAL_DIAG_TAGS = {"LT": "d3", "EQ": "d2", "GT": "d1"}  # by cmp(d23, d12)
+_EQUAL_DIAG_TAGS = {Relation.LT: "d3", Relation.EQ: "d2", Relation.GT: "d1"}  # by cmp(d23, d12)
 
 
 def _pattern_tag(d12, d13, d23, d24, d34):
     """Tag of a configuration already known to satisfy the enumeration
     conditions, with d13 >= d24."""
     if d13 == d24:
-        return _EQUAL_DIAG_TAGS[_cmp_name(d23, d12)]
-    c_12_24 = _cmp_name(d12, d24)
-    c_23_34 = _cmp_name(d23, d34)
-    if c_12_24 == "GT":
-        return {"GT": "d4", "EQ": "d5", "LT": "d6"}[c_23_34]
-    if c_12_24 == "EQ":
-        return {"GT": "d7", "EQ": "d8", "LT": "d9"}[c_23_34]
-    c_12_23 = _cmp_name(d12, d23)
-    if c_12_23 == "GT":
-        return {"GT": "d10", "EQ": "d11", "LT": "d12"}[c_23_34]
-    if c_12_23 == "EQ":
+        return _EQUAL_DIAG_TAGS[_cmp(d23, d12)]
+    c_12_24 = _cmp(d12, d24)
+    c_23_34 = _cmp(d23, d34)
+    if c_12_24 is Relation.GT:
+        return {Relation.GT: "d4", Relation.EQ: "d5", Relation.LT: "d6"}[c_23_34]
+    if c_12_24 is Relation.EQ:
+        return {Relation.GT: "d7", Relation.EQ: "d8", Relation.LT: "d9"}[c_23_34]
+    c_12_23 = _cmp(d12, d23)
+    if c_12_23 is Relation.GT:
+        return {Relation.GT: "d10", Relation.EQ: "d11", Relation.LT: "d12"}[c_23_34]
+    if c_12_23 is Relation.EQ:
         return "d13"
     return "d15"
 
@@ -419,11 +415,12 @@ def majorization_consequences(s: OrdinalSpace, enumeration):
     n = s.n
     r = [[s.ranks[a][b] for b in e] for a in e]
     holds = {
-        "nesting": _is_nested(s.ranks, e),
+        "nesting": _is_nested(r),
         "endpoint_chain": all(r[0][t] < r[0][t + 1] for t in range(1, n - 1))
         and all(r[t][n - 1] > r[t + 1][n - 1] for t in range(n - 2)),
-        "single_diametrical_pair": dp_pairs(s) == (tuple(sorted((e[0], e[-1]))),),
-        "crossing_equivalences": _crosses(s.ranks, e),
+        # fewer than two points leave no pair to be diametrical
+        "single_diametrical_pair": n < 2 or dp_pairs(s) == (tuple(sorted((e[0], e[-1]))),),
+        "crossing_equivalences": _crosses(r),
     }
     return [clause for clause, ok in holds.items() if not ok]
 

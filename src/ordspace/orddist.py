@@ -104,7 +104,6 @@ def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace, limit: int = 6):
 
 @dataclass(frozen=True)
 class MetricProbeReport:
-    spaces: int
     pairs_checked: int
     triples_checked: int
     symmetry_violations: tuple
@@ -145,7 +144,6 @@ def d_ord_is_metric_probe(spaces) -> MetricProbeReport:
         if values[(i, t)] > values[(i, j)] + values[(j, t)]:
             tri.append((i, j, t, values[(i, t)], values[(i, j)], values[(j, t)]))
     return MetricProbeReport(
-        spaces=len(spaces),
         pairs_checked=len(spaces) * (len(spaces) + 1) // 2,
         triples_checked=len(triples),
         symmetry_violations=tuple(sym),

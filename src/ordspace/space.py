@@ -10,6 +10,7 @@ quadruple relation delta(x, y, z, w) = cmp(rank(x, y), rank(z, w)).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -412,22 +413,16 @@ def to_comparisons(s: OrdinalSpace) -> ComparisonList:
 # ---------------------------------------------------------------------------
 # isomorphism and canonical form
 
-_PAIR_PERMS_CACHE = {}
-
-
+@functools.cache
 def _pair_perms(n):
     """For each point permutation, the induced map on pair indices:
-    entry t of the result maps pair index t to index of the image pair."""
-    if n not in _PAIR_PERMS_CACHE:
-        pairs = all_pairs(n)
-        index = {p: i for i, p in enumerate(pairs)}
-        perms = []
-        for g in itertools.permutations(range(n)):
-            perms.append(
-                (g, tuple(index[tuple(sorted((g[i], g[j])))] for i, j in pairs))
-            )
-        _PAIR_PERMS_CACHE[n] = perms
-    return _PAIR_PERMS_CACHE[n]
+    entry t maps pair index t to the index of the image pair."""
+    pairs = all_pairs(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    return [
+        tuple(index[tuple(sorted((g[i], g[j])))] for i, j in pairs)
+        for g in itertools.permutations(range(n))
+    ]
 
 
 def canonical_level_vector(vec, n):
@@ -440,7 +435,7 @@ def canonical_level_vector(vec, n):
     first differing pair.
     """
     best = None
-    for _, pg in _pair_perms(n):
+    for pg in _pair_perms(n):
         cand = tuple(vec[pg[t]] for t in range(len(vec)))
         if best is None or cand < best:
             best = cand

@@ -27,12 +27,12 @@ from ordspace.balls import (
     balls_at,
     find_hasse_isomorphism,
     hasse,
-    hasse_dot,
     hasse_isomorphic,
     spectrum,
 )
 from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
+from ordspace.formats import hasse_dot
 from ordspace.space import DistanceMatrix, is_isomorphic, ordinal_type, realize
 
 # the six-point table lists one ball chain per center; a..f are points 1..6
@@ -95,7 +95,7 @@ def test_balls_agree_with_distance_thresholds():
     spaces += [random_space(rng, rng.randint(2, 6)) for _ in range(15)]
     for s in spaces:
         d = realize(s)
-        from_ranks = ball_set(s).as_sets()
+        from_ranks = set(ball_set(s).members)
         from_distances = set()
         for c in range(s.n):
             for r in {d.values[c][x] for x in range(s.n)}:
@@ -196,8 +196,8 @@ def test_tree_pair_has_ball_bijection_without_isomorphism():
     b = load_space("tree5_b.ord")
     f = ball_preserving_bijection(a, b)
     assert f is not None
-    balls_b = ball_set(b).as_sets()
-    for ball in ball_set(a).as_sets():
+    balls_b = set(ball_set(b).members)
+    for ball in set(ball_set(a).members):
         assert frozenset(f[x] for x in ball) in balls_b
 
 
@@ -236,7 +236,7 @@ def test_dot_output_is_stable_and_labeled():
 def chain_ball_set(s):
     """Ball set read off the ball chains of balls_at, one frozenset each."""
     found = {frozenset(b.members) for c in range(s.n) for b in balls_at(s, c)}
-    return BallSet(n=s.n, members=tuple(sorted(found, key=lambda m: (len(m), sorted(m)))))
+    return BallSet(members=tuple(sorted(found, key=lambda m: (len(m), sorted(m)))))
 
 
 def cubic_hasse(bs):

@@ -426,3 +426,42 @@ def test_help_lists_subcommands():
     for name in ("ordtype", "validate", "iso", "dord", "balls", "hasse",
                  "embed1d", "t10", "embednd", "check-r2", "census", "menger-probe"):
         assert name in out
+
+
+FUZZ_COMMANDS = {
+    ".ord": [["balls"], ["hasse"], ["hasse", "--dot"], ["embed1d"], ["t10"], ["check-r2"],
+             ["embednd", "--dim", "2", "--restarts", "1"], ["menger-probe", "--dim", "1"]],
+    ".csv": [["ordtype"]],
+    ".cmp": [["validate"]],
+}
+
+
+def corrupted(rng, data):
+    """data after 1-4 random byte flips, inserts or deletes."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("flip", "insert", "delete") if data else ("insert",))
+        if op == "insert":
+            data.insert(rng.randint(0, len(data)), rng.randrange(256))
+        elif op == "flip":
+            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        else:
+            del data[rng.randrange(len(data))]
+    return bytes(data)
+
+
+def test_corrupted_fixtures_exit_with_documented_codes(tmp_path):
+    """Every command on fixtures with a few bytes changed ends in exit code
+    0, 1, 2 or 3; an exception escaping `main` fails the test."""
+    rng = random.Random(14)
+    fixtures = sorted(p for p in FIXTURES.iterdir() if p.suffix in FUZZ_COMMANDS)
+    codes = {}
+    for _ in range(400):
+        source = rng.choice(fixtures)
+        command = rng.choice(FUZZ_COMMANDS[source.suffix])
+        target = tmp_path / f"input{source.suffix}"
+        target.write_bytes(corrupted(rng, source.read_bytes()))
+        code, _, err = run(command[0], target, *command[1:])
+        assert code in (0, 1, 2, 3), (source.name, command, target.read_bytes(), err)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(2, 0) > 0 and codes.get(0, 0) > 0, codes

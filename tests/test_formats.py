@@ -5,8 +5,10 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_text, load_hasse, load_space, random_space
+from conftest import fixture_text, load_hasse, load_space, random_space, space_from_values
 from ordspace.balls import HasseDiagram, ball_set, hasse, hasse_isomorphic
 from ordspace.cli import main
 from ordspace.errors import ValidationError
@@ -15,12 +17,13 @@ from ordspace.formats import (
     format_distance_csv,
     format_hasse,
     format_rank_matrix,
+    hasse_dot,
     parse_comparisons,
     parse_distance_csv,
     parse_hasse,
     parse_rank_matrix,
 )
-from ordspace.space import realize, to_comparisons
+from ordspace.space import from_comparisons, ordinal_type, realize, to_comparisons
 
 
 def test_rank_matrix_round_trip():
@@ -145,5 +148,25 @@ def test_parse_errors_are_validation_errors(tmp_path):
                 code = main([command, str(f)])
             assert code == 2 and out.getvalue() == "", text
             assert err.getvalue().startswith("input error") and message in err.getvalue(), text
-    with pytest.raises(ValidationError, match="set-labeled"):
-        format_hasse(HasseDiagram((1, 2), ((0, 1),)))
+    for write in (format_hasse, hasse_dot):
+        with pytest.raises(ValidationError, match="set-labeled"):
+            write(HasseDiagram((1, 2), ((0, 1),)))
+
+
+@st.composite
+def tied_spaces(draw):
+    """A space on 1-6 points whose pair values may tie."""
+    n = draw(st.integers(1, 6))
+    p = n * (n - 1) // 2
+    values = draw(st.lists(st.integers(1, max(p, 1)), min_size=p, max_size=p))
+    return space_from_values(n, values)
+
+
+@settings(max_examples=200)
+@given(tied_spaces())
+def test_every_format_round_trips(s):
+    assert parse_rank_matrix(format_rank_matrix(s)) == s
+    assert ordinal_type(parse_distance_csv(format_distance_csv(realize(s)))) == s
+    assert from_comparisons(parse_comparisons(format_comparisons(to_comparisons(s)))) == s
+    text = format_hasse(hasse(ball_set(s)))
+    assert format_hasse(parse_hasse(text)) == text

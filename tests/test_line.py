@@ -362,6 +362,14 @@ def test_consequence_clauses_fire():
         )
 
 
+def test_one_point_enumeration_violates_no_consequence():
+    """One point has no pair, so the diametrical-pair clause is vacuous."""
+    s = OrdinalSpace(1, 0, ((0,),))
+    e = find_majorizing_enumeration(s)
+    assert e == (0,) and check_majorization(s, e).ok
+    assert majorization_consequences(s, e) == []
+
+
 def test_classify_four_point_all_fixture_cases():
     for tag in CASE_TAGS:
         assert classify_four_point(load_space(f"case_{tag}.ord")) == tag
@@ -434,7 +442,7 @@ def nested_ordering(s):
     if len(top) != 1:
         return None
     e = tuple(sorted(range(s.n), key=s.ranks[top[0][0]].__getitem__))
-    return e if _is_nested(s.ranks, e) else None
+    return e if _is_nested([[s.ranks[a][b] for b in e] for a in e]) else None
 
 
 def test_line_screen_decides_every_class_up_to_four_points():
