@@ -1,5 +1,8 @@
 """Enumeration of ordinal spaces up to isomorphism, ball-count extremes,
-and empirical verdicts for the two open counting conjectures.
+and empirical verdicts for two counting conjectures: maximal ball counts
+continuing OEIS A263511, which is open, and the triangular lower bound
+n(n+1)/2 on injective-rank spaces, which holds at n = 3 and is refuted at
+n = 4 (two four-point classes have 9 balls).
 
 A space on n points is a surjection from the n(n-1)/2 point pairs onto an
 initial segment of ranks, so the raw search space for n points has Fubini

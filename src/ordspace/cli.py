@@ -35,6 +35,7 @@ from .formats import (
     parse_rank_matrix,
     pair_label,
     point_label,
+    point_map_label,
     point_set_label,
 )
 from .line import (
@@ -172,11 +173,10 @@ def cmd_iso(args):
             [f"not isomorphic; Hasse diagrams isomorphic: {hword}"],
         )
         return EXIT_NEGATIVE
-    mapping = " ".join(f"{point_label(i)}->{point_label(f[i])}" for i in range(a.n))
     _emit(
         args,
         {"isomorphic": True, "witness": list(f), "hasse_isomorphic": hi},
-        [f"isomorphic; witness: {mapping}", f"Hasse diagrams isomorphic: {hword}"],
+        [f"isomorphic; witness: {point_map_label(f)}", f"Hasse diagrams isomorphic: {hword}"],
     )
     return EXIT_OK
 
@@ -185,10 +185,9 @@ def cmd_dord(args):
     a = _load_space(args.a)
     b = _load_space(args.b)
     res = d_ord(a, b, limit=args.limit)
-    mapping = " ".join(f"{point_label(i)}->{point_label(res.witness[i])}" for i in range(a.n))
     lines = [
         f"d_ord = {res.value}",
-        f"witness: {mapping}",
+        f"witness: {point_map_label(res.witness)}",
         f"disagreeing pair couples: {len(res.disagreements)}",
     ]
     lines.extend(f"  {pair_label(*pa)} vs {pair_label(*pb)}" for pa, pb in res.disagreements)

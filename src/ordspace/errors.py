@@ -13,7 +13,10 @@ class AxiomViolation(OrdspaceError):
     """A comparison list contradicts the ordinal-space axioms.
 
     axiom: short identifier of the violated axiom ("i", "iii", "v/vi", "vii").
-    witnesses: the input entries that together form the contradiction.
+    witnesses: the input entries that together form the contradiction: a
+    degenerate entry alone ("i", "vii"), or one cycle's strict entries in
+    order, each followed by the equalities that join it to the next ("iii"
+    for a cycle through two pair classes, "v/vi" otherwise).
     """
 
     def __init__(self, axiom, witnesses):

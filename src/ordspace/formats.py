@@ -3,9 +3,10 @@ inclusion diagrams, and every printed name of a point.
 
 All formats allow blank lines and '#' comment lines. Point indices in files
 are 1-based; the Python API is 0-based throughout. In reports point i is
-`point_label(i)`, x1 for index 0, a pair is `pair_label`, (x1,x2), and a
-set of points is `point_set_label`, {x1,x2}; `hasse_dot` writes a diagram
-as Graphviz DOT with those set labels.
+`point_label(i)`, x1 for index 0, a pair is `pair_label`, (x1,x2), a
+set of points is `point_set_label`, {x1,x2}, and a point map is
+`point_map_label`, x1->x2 x2->x1; `hasse_dot` writes a diagram as Graphviz
+DOT with those set labels.
 
 rank matrix      line "n k", then n rows of n integers
 distance matrix  n rows of n comma-separated values, decimal or p/q literals
@@ -203,6 +204,11 @@ def point_set_label(members):
 
 def pair_label(x, y):
     return f"({point_label(x)},{point_label(y)})"
+
+
+def point_map_label(f):
+    """A point map, f[i] the image of point i, as x1->x2 x2->x1 ..."""
+    return " ".join(f"{point_label(i)}->{point_label(j)}" for i, j in enumerate(f))
 
 
 def _set_vertices(h: HasseDiagram):

@@ -432,7 +432,8 @@ def probe_majorization_conjecture(spaces):
     """Status report for: a majorizing enumeration exists iff an exact line
     embedding exists. The forward direction (embedding implies majorizing)
     is proved and lands in must_hold_failures if ever broken; the
-    converse is open and only reported."""
+    converse fails at n = 6 (fixtures/converse6_a.ord and converse6_b.ord),
+    and its counterexamples are only reported."""
     report = {
         "tested": 0,
         "majorizing": 0,

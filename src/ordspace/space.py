@@ -234,8 +234,12 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
     """Build the normalized space determined by raw comparisons.
 
     Equalities merge pairs into classes (union-find); strict comparisons
-    order the classes. Unstated relations are inferred by transitivity only;
-    a cycle raises AxiomViolation, two incomparable classes raise
+    order the classes in one Kahn walk. Unstated relations are inferred by
+    transitivity only. A cycle raises AxiomViolation: walking back from the
+    smallest class the walk leaves over closes one, whose strict entries in
+    order, each followed by the equalities that join it to the next, are
+    the witnesses; the axiom is "iii" for two classes, "v/vi" otherwise.
+    Without a cycle, the walk's first step with two sources raises
     UnderdeterminedOrder. Only the pairs that entries mention get
     union-find nodes, so the cost follows the entries, not the pairs.
     """
@@ -310,50 +314,54 @@ def from_comparisons(c: ComparisonList) -> OrdinalSpace:
             out.append(e)
         return out[::-1]
 
-    # strict order digraph on classes
+    # strict order digraph on classes: pred[rb][ra] is the first entry
+    # (as pair ids a, b and the entry) that puts class ra below class rb
+    pred = {}
     succ = {}
-    edge_entries = {}
     for a, b, e in lt_edges:
         ra, rb = find(a), find(b)
-        if ra == rb:
-            # p < q while p and q were merged by equalities
-            raise AxiomViolation("v/vi", [e] + eq_path_entries(a, b))
-        succ.setdefault(ra, set()).add(rb)
-        edge_entries.setdefault((ra, rb), e)
+        into = pred.setdefault(rb, {})
+        if ra not in into:
+            into[ra] = (a, b, e)
+            succ.setdefault(ra, []).append(rb)
 
-    roots = sorted({find(t) for t in parent})
-    cycle = _find_cycle(roots, succ)
-    if cycle is not None:
-        witnesses = [
-            edge_entries[(cycle[t], cycle[t + 1])] for t in range(len(cycle) - 1)
-        ]
-        axiom = "iii" if len(cycle) == 3 else "v/vi"
-        raise AxiomViolation(axiom, witnesses)
-
-    # the strict order must be total on classes: Kahn steps must have a
-    # unique source each time. An unmentioned pair is a class of its own
+    # one Kahn walk to completion. An unmentioned pair is a class of its own
     # and a source at every step, so the two smallest stand for them all.
     npairs = n * (n - 1) // 2
     unmentioned = itertools.islice((t for t in range(npairs) if t not in parent), 2)
-    indeg = dict.fromkeys(itertools.chain(roots, unmentioned), 0)
-    for a in succ:
-        for b in succ[a]:
-            indeg[b] += 1
+    roots = {find(t) for t in parent}
+    indeg = {r: len(pred.get(r, ())) for r in itertools.chain(roots, unmentioned)}
     sources = [r for r in indeg if indeg[r] == 0]
     order = []
+    first_fork = None
     while sources:
-        if len(sources) > 1:
-            sources.sort()
-            members = lambda root: tuple(
-                _pair_at(n, t) for t in sorted(parent) if find(t) == root
-            ) or (_pair_at(n, root),)
-            raise UnderdeterminedOrder(members(sources[0]), members(sources[1]))
+        if first_fork is None and len(sources) > 1:
+            first_fork = sorted(sources)[:2]
         src = sources.pop()
         order.append(src)
         for b in succ.get(src, ()):
             indeg[b] -= 1
             if indeg[b] == 0:
                 sources.append(b)
+
+    if len(order) < len(indeg):
+        # every class left over has a predecessor left over: walking back
+        # from the smallest one must close a cycle
+        walk, seen = [min(r for r in indeg if indeg[r])], set()
+        while walk[-1] not in seen:
+            seen.add(walk[-1])
+            walk.append(next(u for u in pred[walk[-1]] if indeg[u]))
+        cycle = walk[walk.index(walk[-1]):][:0:-1]  # forwards, from where it closed
+        steps = [pred[w][u] for u, w in zip(cycle, cycle[1:] + cycle[:1])]
+        witnesses = []
+        for (_, b, e), (a, _, _) in zip(steps, steps[1:] + steps[:1]):
+            witnesses += [e, *eq_path_entries(b, a)]
+        raise AxiomViolation("iii" if len(cycle) == 2 else "v/vi", witnesses)
+    if first_fork is not None:
+        members = lambda root: tuple(
+            _pair_at(n, t) for t in sorted(parent) if find(t) == root
+        ) or (_pair_at(n, root),)
+        raise UnderdeterminedOrder(*map(members, first_fork))
 
     level_of_root = {r: lvl + 1 for lvl, r in enumerate(order)}
     levels = [level_of_root[find(t) if t in parent else t] for t in range(npairs)]
@@ -365,33 +373,6 @@ def _pair_at(n, t):
     x(2n - x - 1)/2 <= t, the smaller root of that quadratic rounded down."""
     x = (2 * n - 2 - math.isqrt((2 * n - 1) ** 2 - 8 * t - 1)) // 2
     return x, t - x * (2 * n - x - 1) // 2 + x + 1
-
-
-def _find_cycle(nodes, succ):
-    """First directed cycle as [v0, v1, ..., v0], or None: depth first from
-    each unvisited node in turn, successors in sorted order. The path is an
-    explicit stack, so a long chain cannot exhaust the recursion limit."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(nodes, WHITE)
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        color[root] = GREY
-        path = [root]
-        todo = [iter(sorted(succ.get(root, ())))]
-        while todo:
-            for w in todo[-1]:
-                if color[w] == GREY:
-                    return path[path.index(w):] + [w]
-                if color[w] == WHITE:
-                    color[w] = GREY
-                    path.append(w)
-                    todo.append(iter(sorted(succ.get(w, ()))))
-                    break
-            else:
-                color[path.pop()] = BLACK
-                todo.pop()
-    return None
 
 
 def to_comparisons(s: OrdinalSpace) -> ComparisonList:

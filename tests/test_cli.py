@@ -150,6 +150,21 @@ def test_validate_cycle(tmp_path):
     assert "  d(x1,x3) < d(x1,x2)" in out
 
 
+def test_validate_cycle_through_an_equality(tmp_path):
+    # the two strict lines alone are consistent; the equality closes the cycle
+    f = tmp_path / "bad.cmp"
+    f.write_text("3\n1 2 1 3 LT\n1 3 2 3 EQ\n2 3 1 2 LT\n")
+    code, out, _ = run("validate", f)
+    assert code == 1
+    assert out.splitlines() == [
+        HEADER,
+        "invalid: axiom (iii) violated",
+        "  d(x1,x2) < d(x1,x3)",
+        "  d(x1,x3) = d(x2,x3)",
+        "  d(x2,x3) < d(x1,x2)",
+    ]
+
+
 def test_validate_underdetermined(tmp_path):
     f = tmp_path / "partial.cmp"
     f.write_text("3\n1 2 1 3 LT\n")
@@ -157,6 +172,18 @@ def test_validate_underdetermined(tmp_path):
     assert code == 1
     assert "invalid: comparisons leave two pair classes unordered" in out
     assert "classes: (x1,x2) vs (x2,x3)" in out
+
+
+def test_readme_command_line_example():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    runs = block.split("$ ordspace ")[1:]
+    assert [r.split()[0] for r in runs] == ["balls", "embed1d", "iso", "census"]
+    for r in runs:
+        command, *shown = r.rstrip("\n").splitlines()
+        args = [FIXTURES.parent / a if a.startswith("fixtures/") else a for a in command.split()]
+        _, out, _ = run(*args)
+        assert out.splitlines() == shown, command
 
 
 def test_embednd_certificate_route():

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     collinear,
@@ -270,6 +272,29 @@ def test_comparisons_deep_cycle():
         from_comparisons(ComparisonList(50, tuple(entries)))
     assert err.value.axiom == "v/vi"
     assert err.value.witnesses == entries
+
+
+@st.composite
+def comparison_lists(draw):
+    """3-10 entries on 2-5 points; pairs are proper, written either way
+    round, or the self pair (x1,x1); all three relations."""
+    n = draw(st.integers(2, 5))
+    pair = st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y] + [(0, 0)])
+    entry = st.builds(lambda p, q, rel: (*p, *q, rel), pair, pair, st.sampled_from(Relation))
+    return ComparisonList(n, tuple(draw(st.lists(entry, min_size=3, max_size=10))))
+
+
+@settings(max_examples=400)
+@given(comparison_lists())
+def test_violation_witnesses_alone_are_a_contradiction(c):
+    try:
+        from_comparisons(c)
+    except AxiomViolation as err:
+        with pytest.raises(AxiomViolation) as again:
+            from_comparisons(ComparisonList(c.n, tuple(err.witnesses)))
+        assert again.value.axiom == err.axiom
+    except UnderdeterminedOrder:
+        pass
 
 
 def test_gt_entries_normalize():
