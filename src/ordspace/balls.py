@@ -2,11 +2,10 @@
 
 A ball is determined by a center and a cut of that center's rank spectrum:
 member set {x : rank(c, x) <= t} for t running over the spectrum values.
-Ball identity in a BallSet is the member set alone; `balls_at` still gives
-each center's (center, threshold) chain. One bitmask kernel, `_ball_masks`,
-gives the set of balls as integers whose bit x is point x; `ball_set` sorts
-it, the census's ball counts take its length, and `hasse` finds covers with
-bitsets over the balls.
+A ball is its member set alone; `balls_at` still gives each center's chain.
+One bitmask kernel, `_ball_masks`, gives the set of balls as integers whose
+bit x is point x; `ball_set` sorts it, the census's ball counts take its
+length, and `hasse` finds covers with bitsets over the balls.
 """
 
 from __future__ import annotations
@@ -21,27 +20,6 @@ from .errors import SizeLimitError, ValidationError
 from .space import PERM_LIMIT, OrdinalSpace, _first_match
 
 VERTEX_LIMIT = 64  # diagram size guard of the isomorphism search
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: int
-    threshold: int
-    members: tuple  # sorted point indices
-
-    def __post_init__(self):
-        if self.center not in self.members:
-            raise ValidationError("a ball contains its center")
-
-
-@dataclass(frozen=True)
-class BallSet:
-    """All distinct balls of a space, sorted by (size, members)."""
-
-    members: tuple  # tuple of frozensets
-
-    def __len__(self):
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -99,20 +77,14 @@ def _source_levels(m, arcs):
     return level if seen == m else None
 
 
-def spectrum(s: OrdinalSpace, center: int):
-    """Sorted distinct ranks from the center, 0 (the center itself) first."""
+def balls_at(s: OrdinalSpace, center: int):
+    """The ball chain at a center as sorted member tuples, one per cut of
+    its rank spectrum, ascending: the first is (center,), the last every
+    point."""
     if not 0 <= center < s.n:
         raise ValidationError(f"center {center} out of range")
-    return tuple(sorted({s.ranks[center][x] for x in range(s.n)}))
-
-
-def balls_at(s: OrdinalSpace, center: int):
-    """The ball chain at a center, one ball per spectrum cut, ascending."""
-    chain = []
-    for t in spectrum(s, center):
-        members = tuple(x for x in range(s.n) if s.ranks[center][x] <= t)
-        chain.append(Ball(center, t, members))
-    return chain
+    row = s.ranks[center]
+    return [tuple(x for x in range(s.n) if row[x] <= t) for t in sorted(set(row))]
 
 
 def _ball_masks(rows):
@@ -136,19 +108,19 @@ def _bits(mask):
         mask &= mask - 1
 
 
-def ball_set(s: OrdinalSpace) -> BallSet:
+def ball_set(s: OrdinalSpace):
+    """All distinct balls of a space as frozensets, sorted by (size, members)."""
     members = sorted((tuple(_bits(m)) for m in _ball_masks(s.ranks)), key=lambda t: (len(t), t))
-    return BallSet(members=tuple(map(frozenset, members)))
+    return tuple(map(frozenset, members))
 
 
-def hasse(bs: BallSet) -> HasseDiagram:
-    """Covering digraph of the ball family under set inclusion; needs the
-    members sorted by size, as `ball_set` gives them. Bit b of holders[x]
+def hasse(sets) -> HasseDiagram:
+    """Covering digraph of a family of sets under inclusion; needs the sets
+    sorted by size, as `ball_set` gives them. Bit b of holders[x]
     says ball b contains point x, so ANDing them over a ball's points gives
     its strict supersets. The lowest-index one left is a cover, and taking
     it removes it and its own supersets: a ball strictly between would come
     first and, taken or removed, would have removed it."""
-    sets = bs.members
     holders = {}
     for b, members in enumerate(sets):
         for x in members:
@@ -211,13 +183,15 @@ def ball_preserving_bijection(a: OrdinalSpace, b: OrdinalSpace):
     Since a point bijection acts injectively on member sets, checking that
     every ball of a lands in b's ball family plus equal family sizes already
     forces the map to be onto, so preimages of b-balls are a-balls too.
+    Kept for a paper claim: `tree5_a`/`tree5_b` have one without being
+    isomorphic.
     """
     if a.n > PERM_LIMIT:
         raise SizeLimitError("ball preserving bijection", a.n, PERM_LIMIT)
     if a.n != b.n:
         return None
-    balls_a = set(ball_set(a).members)
-    balls_b = set(ball_set(b).members)
+    balls_a = set(ball_set(a))
+    balls_b = set(ball_set(b))
     if len(balls_a) != len(balls_b):
         return None
     for f in itertools.permutations(range(b.n)):

@@ -210,12 +210,12 @@ def cmd_balls(args):
     s = _load_space(args.file)
     bs = ball_set(s)
     lines = [str(len(bs))]
-    lines.extend(map(point_set_label, bs.members))
+    lines.extend(map(point_set_label, bs))
     _emit(
         args,
         {
             "count": len(bs),
-            "balls": [sorted(p + 1 for p in m) for m in bs.members],
+            "balls": [sorted(p + 1 for p in m) for m in bs],
         },
         lines,
     )

@@ -81,7 +81,8 @@ def cayley_menger(d: DistanceMatrix, points=None) -> CMResult:
 def blumenthal_check(d: DistanceMatrix):
     """Irreducible embeddability of n points in R^(n-1): the determinant on
     the first k+1 points must have sign (-1)^(k+1) for every k = 1..n-1.
-    Returns (ok, first failing k or None)."""
+    Returns (ok, first failing k or None). Kept as the reference that the
+    tests check `_ldl_int`'s pivot verdict against."""
     for k in range(1, d.n):
         res = cayley_menger(d, points=range(k + 1))
         if res.sign != (-1) ** (k + 1):

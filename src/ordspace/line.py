@@ -22,6 +22,9 @@ DEFAULT_LIMIT = 8
 
 
 class SeqRelation(enum.Enum):
+    """How two equal-length index sequences compare (`compare_sequences`);
+    kept as part of the definition the tests check majorization against."""
+
     PREC = "PREC"
     EQUIV = "EQUIV"
     NEITHER = "NEITHER"
@@ -32,25 +35,15 @@ class MajorizationMode(enum.Enum):
     CONSECUTIVE = "CONSECUTIVE"
 
 
-@dataclass(frozen=True)
-class IndexSequence:
-    """Nondecreasing tuple of 1-based positions, at least two entries."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = self.indices
-        if len(idx) < 2:
-            raise ValidationError("an index sequence needs at least two entries")
-        if any(b < a for a, b in zip(idx, idx[1:])):
-            raise ValidationError("index sequence must be nondecreasing")
-        if idx[0] < 1:
-            raise ValidationError("positions are 1-based")
-
-
 def _as_indices(seq, n):
-    idx = seq.indices if isinstance(seq, IndexSequence) else tuple(seq)
-    IndexSequence(idx)
+    """A nondecreasing tuple of at least two 1-based positions in 1..n."""
+    idx = tuple(seq)
+    if len(idx) < 2:
+        raise ValidationError("an index sequence needs at least two entries")
+    if any(b < a for a, b in zip(idx, idx[1:])):
+        raise ValidationError("index sequence must be nondecreasing")
+    if idx[0] < 1:
+        raise ValidationError("positions are 1-based")
     if idx[-1] > n:
         raise ValidationError(f"position {idx[-1]} outside 1..{n}")
     return idx
@@ -65,7 +58,9 @@ def _check_enumeration(enumeration, n):
 
 def interval_ranks(s: OrdinalSpace, enumeration, seq):
     """Ranks of the consecutive intervals of seq under the enumeration;
-    a repeated position yields a zero interval."""
+    a repeated position yields a zero interval. Kept, with
+    `compare_sequences`, as the definition the tests brute-force
+    `check_majorization` against."""
     e = _check_enumeration(enumeration, s.n)
     idx = _as_indices(seq, s.n)
     return tuple(
@@ -82,7 +77,8 @@ def compare_sequences(s: OrdinalSpace, a, b, enumeration) -> SeqRelation:
     exists then for every threshold the count of a-ranks above it is at
     most the b-count, which is exactly sorted dominance, and the sorted
     pairing realizes it back. Equal multisets admit no strictly slack
-    pairing because the totals agree.
+    pairing because the totals agree. Kept as the definition that the tests
+    brute-force `check_majorization` against, on nondecreasing sequences.
     """
     ia = _as_indices(a, s.n)
     ib = _as_indices(b, s.n)
@@ -393,6 +389,8 @@ class ProfileEquivalenceReport:
 
 
 def profile_equivalence_report(s: OrdinalSpace) -> ProfileEquivalenceReport:
+    """The three statements of `ProfileEquivalenceReport` for one space;
+    kept for the paper's claim that they agree on line-embeddable spaces."""
     profile = class_profile(s)
     n = s.n
     return ProfileEquivalenceReport(
@@ -410,6 +408,7 @@ def majorization_consequences(s: OrdinalSpace, enumeration):
     rise along (first, t) and fall along (t, last); {first, last} is the
     unique diametrical pair; and for positions i < k < j < l the relation
     between (i,j) and (k,l) equals the relation between (i,k) and (j,l).
+    Kept for the paper's claim that majorizing implies each of them.
     """
     e = _check_enumeration(enumeration, s.n)
     n = s.n
@@ -433,7 +432,8 @@ def probe_majorization_conjecture(spaces):
     embedding exists. The forward direction (embedding implies majorizing)
     is proved and lands in must_hold_failures if ever broken; the
     converse fails at n = 6 (fixtures/converse6_a.ord and converse6_b.ord),
-    and its counterexamples are only reported."""
+    and its counterexamples are only reported. Kept for the paper's
+    conjecture, which it states and tests."""
     report = {
         "tested": 0,
         "majorizing": 0,

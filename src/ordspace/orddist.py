@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .space import OrdinalSpace, all_pairs, is_isomorphic
+from .space import OrdinalSpace, all_pairs
 
 DEFAULT_LIMIT = 8
 
@@ -100,53 +100,3 @@ def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace, limit: int = 6):
         if best is None or value < best[0]:
             best = (value, p)
     return best
-
-
-@dataclass(frozen=True)
-class MetricProbeReport:
-    pairs_checked: int
-    triples_checked: int
-    symmetry_violations: tuple
-    identity_violations: tuple
-    triangle_violations: tuple
-
-    @property
-    def ok(self):
-        return not (
-            self.symmetry_violations
-            or self.identity_violations
-            or self.triangle_violations
-        )
-
-
-def d_ord_is_metric_probe(spaces) -> MetricProbeReport:
-    """Empirical metric-axiom check over a sample of same-size spaces:
-    symmetry, zero exactly on isomorphic pairs, triangle inequality on every
-    ordered triple. Any violation would mean a bug, so the report names the
-    offenders."""
-    spaces = list(spaces)
-    if len({s.n for s in spaces}) > 1:
-        raise ValidationError("metric probe needs equal cardinalities")
-    values = {}
-    sym = []
-    ident = []
-    for i, j in itertools.combinations_with_replacement(range(len(spaces)), 2):
-        dij = d_ord(spaces[i], spaces[j]).value
-        dji = d_ord(spaces[j], spaces[i]).value
-        values[(i, j)] = values[(j, i)] = dij
-        if dij != dji:
-            sym.append((i, j, dij, dji))
-        if (dij == 0) != is_isomorphic(spaces[i], spaces[j]):
-            ident.append((i, j, dij))
-    triples = list(itertools.permutations(range(len(spaces)), 3))
-    tri = []
-    for i, j, t in triples:
-        if values[(i, t)] > values[(i, j)] + values[(j, t)]:
-            tri.append((i, j, t, values[(i, t)], values[(i, j)], values[(j, t)]))
-    return MetricProbeReport(
-        pairs_checked=len(spaces) * (len(spaces) + 1) // 2,
-        triples_checked=len(triples),
-        symmetry_violations=tuple(sym),
-        identity_violations=tuple(ident),
-        triangle_violations=tuple(tri),
-    )

@@ -39,8 +39,12 @@ class Relation(enum.Enum):
         return Relation.EQ
 
 
+# module-level aliases: a global read is cheaper than an enum class attribute
+_LT, _EQ, _GT = Relation.LT, Relation.EQ, Relation.GT
+
+
 def _cmp(a, b):
-    return Relation.LT if a < b else Relation.GT if a > b else Relation.EQ
+    return _LT if a < b else _GT if a > b else _EQ
 
 
 def all_pairs(n):
@@ -413,7 +417,8 @@ def canonical_level_vector(vec, n):
     pick the same permutations: reading the matrix row-major, every entry
     before the first occurrence of pair p repeats some pair earlier in pair
     order, so the first position where two flattened matrices differ is the
-    first differing pair.
+    first differing pair. Besides `canonical_form`, it is the reference the
+    tests check the orderly census's canonical vectors against.
     """
     best = None
     for pg in _pair_perms(n):

@@ -85,7 +85,7 @@ def test_acceptance_01_table_ball_chains():
     ok = len(ball_set(s)) == 29
     letters = "abcdef"
     for center, words in TABLE_CHAINS.items():
-        chain = [b.members for b in balls_at(s, center)]
+        chain = balls_at(s, center)
         expected = [tuple(sorted(letters.index(ch) for ch in w)) for w in words]
         ok = ok and chain == expected
     report(1, ok, "six-point table chains or total differ", t0, 1.0)

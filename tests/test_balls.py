@@ -19,7 +19,6 @@ from conftest import (
 )
 from ordspace import balls, cli
 from ordspace.balls import (
-    BallSet,
     HasseDiagram,
     _ball_masks,
     ball_preserving_bijection,
@@ -28,7 +27,6 @@ from ordspace.balls import (
     find_hasse_isomorphism,
     hasse,
     hasse_isomorphic,
-    spectrum,
 )
 from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
@@ -54,21 +52,19 @@ def _as_members(word):
 def test_table_chain_listing():
     s = load_space("table6.ord")
     for center, words in TABLE_CHAINS.items():
-        chain = [b.members for b in balls_at(s, center)]
-        assert chain == [_as_members(w) for w in words]
+        assert balls_at(s, center) == [_as_members(w) for w in words]
     assert len(ball_set(s)) == 29
 
 
 def test_spectrum_contains_zero_and_center():
     s = load_space("min4.ord")
     for c in range(s.n):
-        sp = spectrum(s, c)
-        assert sp[0] == 0
         chain = balls_at(s, c)
-        assert chain[0].members == (c,)
-        assert chain[-1].members == tuple(range(s.n))
-    with pytest.raises(ValidationError):
-        spectrum(s, 9)
+        assert len(chain) == len(set(s.ranks[c]))
+        assert chain[0] == (c,)
+        assert chain[-1] == tuple(range(s.n))
+    with pytest.raises(ValidationError, match="center 9 out of range"):
+        balls_at(s, 9)
 
 
 def test_ball_count_examples():
@@ -95,7 +91,7 @@ def test_balls_agree_with_distance_thresholds():
     spaces += [random_space(rng, rng.randint(2, 6)) for _ in range(15)]
     for s in spaces:
         d = realize(s)
-        from_ranks = set(ball_set(s).members)
+        from_ranks = set(ball_set(s))
         from_distances = set()
         for c in range(s.n):
             for r in {d.values[c][x] for x in range(s.n)}:
@@ -196,8 +192,8 @@ def test_tree_pair_has_ball_bijection_without_isomorphism():
     b = load_space("tree5_b.ord")
     f = ball_preserving_bijection(a, b)
     assert f is not None
-    balls_b = set(ball_set(b).members)
-    for ball in set(ball_set(a).members):
+    balls_b = set(ball_set(b))
+    for ball in set(ball_set(a)):
         assert frozenset(f[x] for x in ball) in balls_b
 
 
@@ -235,13 +231,13 @@ def test_dot_output_is_stable_and_labeled():
 
 def chain_ball_set(s):
     """Ball set read off the ball chains of balls_at, one frozenset each."""
-    found = {frozenset(b.members) for c in range(s.n) for b in balls_at(s, c)}
-    return BallSet(members=tuple(sorted(found, key=lambda m: (len(m), sorted(m)))))
+    found = {frozenset(b) for c in range(s.n) for b in balls_at(s, c)}
+    return tuple(sorted(found, key=lambda m: (len(m), sorted(m))))
 
 
 def cubic_hasse(bs):
     """Covering digraph by definition: a < b with no c strictly between."""
-    sets = list(bs.members)
+    sets = list(bs)
     idx = range(len(sets))
     below = [[sets[a] < sets[b] for b in idx] for a in idx]
     arcs = [

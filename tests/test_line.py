@@ -26,7 +26,6 @@ from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.formats import parse_distance_csv
 from ordspace.line import (
     NOT_EMBEDDABLE,
-    IndexSequence,
     MajorizationMode,
     MajorizationResult,
     SeqRelation,
@@ -57,13 +56,14 @@ CASE_TAGS = [f"d{i}" for i in range(1, 14)] + ["d15"]
 
 
 def test_index_sequence_validation():
-    IndexSequence((1, 1, 3))
-    with pytest.raises(ValidationError):
-        IndexSequence((2,))
-    with pytest.raises(ValidationError):
-        IndexSequence((3, 2))
-    with pytest.raises(ValidationError):
-        IndexSequence((0, 1))
+    s, e = load_space("min3.ord"), (0, 1, 2)
+    assert interval_ranks(s, e, (1, 1, 3)) == (0, 3)
+    with pytest.raises(ValidationError, match="at least two entries"):
+        interval_ranks(s, e, (2,))
+    with pytest.raises(ValidationError, match="must be nondecreasing"):
+        interval_ranks(s, e, (3, 2))
+    with pytest.raises(ValidationError, match="1-based"):
+        interval_ranks(s, e, (0, 1))
 
 
 def test_interval_ranks_min3():

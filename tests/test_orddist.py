@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import collinear, load_space, random_space, relabel, space_from_values
 from ordspace.errors import SizeLimitError, ValidationError
-from ordspace.orddist import d_ord, d_ord_is_metric_probe, d_ord_oracle
+from ordspace.orddist import d_ord, d_ord_oracle
 from ordspace.space import find_isomorphism, is_isomorphic
 
 THREE_POINT_TYPES = [
@@ -184,18 +184,3 @@ def test_guards():
 def test_oracle_needs_equal_cardinalities():
     with pytest.raises(ValidationError, match="same cardinality"):
         d_ord_oracle(load_space("min3.ord"), load_space("min4.ord"))
-
-
-def test_metric_probe_on_all_three_point_types():
-    report = d_ord_is_metric_probe(THREE_POINT_TYPES)
-    assert report.ok
-    assert report.pairs_checked == 10
-    assert report.triples_checked == 24
-    assert report.symmetry_violations == ()
-    assert report.identity_violations == ()
-    assert report.triangle_violations == ()
-
-
-def test_metric_probe_sampling_and_validation():
-    with pytest.raises(ValidationError):
-        d_ord_is_metric_probe([THREE_POINT_TYPES[0], space_from_values(2, [1])])
