@@ -39,13 +39,12 @@ from .formats import (
     point_set_label,
 )
 from .line import (
-    DEFAULT_LIMIT as LINE_LIMIT,
     NOT_EMBEDDABLE,
     classify_four_point,
     embed_line,
     profile_necessary_check,
 )
-from .orddist import DEFAULT_LIMIT as DORD_LIMIT, d_ord, d_ord_oracle
+from .orddist import d_ord, d_ord_oracle
 from .space import find_isomorphism, from_comparisons, ordinal_type
 
 EXIT_OK = 0
@@ -184,7 +183,7 @@ def cmd_iso(args):
 def cmd_dord(args):
     a = _load_space(args.a)
     b = _load_space(args.b)
-    res = d_ord(a, b, limit=args.limit)
+    res = d_ord(a, b)
     lines = [
         f"d_ord = {res.value}",
         f"witness: {point_map_label(res.witness)}",
@@ -223,6 +222,8 @@ def cmd_balls(args):
 
 
 def cmd_hasse(args):
+    if args.dot and args.format == "json":
+        raise ValidationError("--dot writes DOT text and cannot be combined with --format json")
     s = _load_space(args.file)
     h = hasse(ball_set(s))
     if args.dot:
@@ -242,7 +243,7 @@ def cmd_hasse(args):
 
 def cmd_embed1d(args):
     s = _load_space(args.file)
-    w = embed_line(s, limit=args.limit)
+    w = embed_line(s)
     if w is None:
         ok, reason = profile_necessary_check(s)
         note = reason if not ok else "no point ordering admits a consistent placement"
@@ -442,17 +443,13 @@ def build_parser():
 
     sp = add("dord", cmd_dord, "minimum pair-comparison disagreements over bijections", "a", "b")
     sp.add_argument("--oracle", action="store_true", help="cross-check with the quadruple-counting oracle")
-    sp.add_argument("--limit", type=_positive_int, default=DORD_LIMIT,
-                    help=f"point-count guard (default {DORD_LIMIT})")
 
     add("balls", cmd_balls, "count and list all distinct balls", "file")
 
     sp = add("hasse", cmd_hasse, "covering digraph of the ball set under inclusion", "file")
     sp.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
 
-    sp = add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?", "file")
-    sp.add_argument("--limit", type=_positive_int, default=LINE_LIMIT,
-                    help=f"point-count guard (default {LINE_LIMIT})")
+    add("embed1d", cmd_embed1d, "exact decision: embeddable in the real line?", "file")
 
     add("t10", cmd_t10, "four-point classifier: inequality-pattern case tag or NOT_EMBEDDABLE", "file")
 

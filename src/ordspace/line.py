@@ -18,7 +18,7 @@ from . import simplex
 from .errors import SizeLimitError, SolverError, ValidationError
 from .space import OrdinalSpace, Relation, _cmp, _ranks_like, _top_pairs, dp_pairs
 
-DEFAULT_LIMIT = 8
+LINE_LIMIT = 8  # point-count guard of embed_line and find_majorizing_enumeration
 
 
 class SeqRelation(enum.Enum):
@@ -204,15 +204,15 @@ def _forced_ordering(ranks):
     return e if _is_nested(r) and _crosses(r) else None
 
 
-def find_majorizing_enumeration(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
+def find_majorizing_enumeration(s: OrdinalSpace):
     """A majorizing enumeration with first point < last point, or None.
 
     Tests only the ordering that passes the line screen: any majorizing
     enumeration is nested and crosses, and an enumeration majorizes iff
     its reversal does.
     """
-    if s.n > limit:
-        raise SizeLimitError("find_majorizing_enumeration", s.n, limit)
+    if s.n > LINE_LIMIT:
+        raise SizeLimitError("find_majorizing_enumeration", s.n, LINE_LIMIT)
     e = _forced_ordering(s.ranks)
     return e if e is not None and check_majorization(s, e).ok else None
 
@@ -253,14 +253,14 @@ def _margin_lp(s, ordering):
     groups = [by_rank[r] for r in sorted(by_rank)]
     reps = [gaps_of(*group[0]) for group in groups]
 
-    # each gap >= t; pairs of one rank equally long; each rank >= t above
-    # the one below; the gaps sum to 1
-    constraints = [(gaps_of(g, g + 1) + [-1], ">=", 0) for g in range(m)]
+    # t - gap <= 0 for each gap; pairs of one rank equally long;
+    # t - (rank above - rank below) <= 0; the gaps sum to 1
+    constraints = [([-v for v in gaps_of(g, g + 1)] + [1], "<=", 0) for g in range(m)]
     for rep, group in zip(reps, groups):
         for other in group[1:]:
             constraints.append(([a - b for a, b in zip(gaps_of(*other), rep)] + [0], "==", 0))
     for lo, hi in zip(reps, reps[1:]):
-        constraints.append(([a - b for a, b in zip(hi, lo)] + [-1], ">=", 0))
+        constraints.append(([a - b for a, b in zip(lo, hi)] + [1], "<=", 0))
     constraints.append(([1] * m + [0], "==", 1))
 
     objective = [0] * m + [1]
@@ -276,7 +276,7 @@ def _margin_lp(s, ordering):
     return witness
 
 
-def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
+def embed_line(s: OrdinalSpace):
     """Exact 1-D embedding decision: the margin LP on the one point order
     (up to reversal) that passes the line screen.
 
@@ -285,8 +285,8 @@ def embed_line(s: OrdinalSpace, limit: int = DEFAULT_LIMIT):
     comparisons and the LP is exact. Returns a verified LineWitness or None.
     """
     n = s.n
-    if n > limit:
-        raise SizeLimitError("embed_line", n, limit)
+    if n > LINE_LIMIT:
+        raise SizeLimitError("embed_line", n, LINE_LIMIT)
     if n == 1:
         return LineWitness((0,), (), Fraction(1))
     ordering = _forced_ordering(s.ranks)

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError, ValidationError
-from .space import OrdinalSpace, all_pairs
-
-DEFAULT_LIMIT = 8
+from .space import PERM_LIMIT, OrdinalSpace, all_pairs
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class OrdDistResult:
     disagreements: tuple  # ((pair, pair), ...) in the first space's labels
 
 
-def d_ord(a: OrdinalSpace, b: OrdinalSpace, limit: int = DEFAULT_LIMIT) -> OrdDistResult:
+def d_ord(a: OrdinalSpace, b: OrdinalSpace) -> OrdDistResult:
     """Minimize disagreeing comparisons over all bijections.
 
     Every bijection is scored: b's levels under each point permutation are
@@ -43,8 +41,8 @@ def d_ord(a: OrdinalSpace, b: OrdinalSpace, limit: int = DEFAULT_LIMIT) -> OrdDi
     if a.n != b.n:
         raise ValidationError("spaces must have the same cardinality")
     n = a.n
-    if n > limit:
-        raise SizeLimitError("d_ord points", n, limit)
+    if n > PERM_LIMIT:
+        raise SizeLimitError("d_ord points", n, PERM_LIMIT)
     if n < 3:  # at most one pair: no comparisons to disagree on
         return OrdDistResult(0, tuple(range(n)), ())
     pairs = all_pairs(n)
@@ -78,15 +76,15 @@ def d_ord(a: OrdinalSpace, b: OrdinalSpace, limit: int = DEFAULT_LIMIT) -> OrdDi
     )
 
 
-def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace, limit: int = 6):
+def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace):
     """Brute force straight off the definition: for every bijection, count
     ordered quadruples (x,y,z,w) whose two relations differ, assert the
     count is divisible by 8, divide. Slow; exists to check d_ord."""
     if a.n != b.n:
         raise ValidationError("spaces must have the same cardinality")
     n = a.n
-    if n > limit:
-        raise SizeLimitError("d_ord_oracle points", n, limit)
+    if n > PERM_LIMIT:
+        raise SizeLimitError("d_ord_oracle points", n, PERM_LIMIT)
     ra = np.array(a.ranks)
     rb = np.array(b.ranks)
     rel_a = np.sign(ra[:, :, None, None] - ra[None, None, :, :])

@@ -24,58 +24,44 @@ UNBOUNDED = "UNBOUNDED"
 _MAX_ITERS = 20000
 
 
-def _integer_row(values):
-    """The values as integers, scaled by the least positive factor that
-    clears their denominators; returns (row, factor)."""
-    values = list(values)
-    if all(type(v) is int for v in values):
-        return values, 1
-    from math import lcm
-
-    values = [Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def solve_lp(objective, constraints):
     """Maximize objective . x over x >= 0 subject to constraints.
 
-    objective: list of numbers (ints or Fractions), one per variable.
-    constraints: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
+    objective: list of ints, one per variable.
+    constraints: list of (coeffs, sense, rhs) with integer coeffs, sense
+    "<=" or "==", and an integer rhs >= 0, so every "<=" slack starts the
+    basis; any other row raises ValueError.
     Returns (status, x, value); x is a list of Fractions and value a
-    Fraction, both None unless OPTIMAL. A row with fractional coefficients
-    is scaled to integers by a positive factor, which keeps its feasible set;
-    one with rhs < 0, or ">=" with rhs 0, is negated: its slack starts the basis.
+    Fraction, both None unless OPTIMAL.
     """
     nvars = len(objective)
+    if any(type(c) is not int for c in objective):
+        raise ValueError("objective coefficients must be integers")
     rows = []
     for coeffs, sense, rhs in constraints:
-        row, _ = _integer_row([*coeffs, rhs])
+        row = [*coeffs, rhs]
         if len(row) != nvars + 1:
             raise ValueError("constraint width does not match objective")
-        if row[-1] < 0 or (row[-1] == 0 and sense == ">="):
-            row = [-v for v in row]
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+        if sense not in ("<=", "==") or any(type(v) is not int for v in row) or rhs < 0:
+            raise ValueError("constraints must be integer rows, <= or ==, with rhs >= 0")
         rows.append((row, sense))
 
-    # columns: variables, then one slack per inequality, then one
-    # artificial per row without a "<=" slack to start the basis
-    nslack = sum(sense != "==" for _, sense in rows)
-    ncols = nvars + nslack + sum(sense != "<=" for _, sense in rows)
+    # columns: variables, then one slack per "<=" row, then one artificial
+    # per "==" row to start the basis
+    nslack = sum(sense == "<=" for _, sense in rows)
+    ncols = nvars + len(rows)
     artificial = set(range(nvars + nslack, ncols))
     slack, art = nvars, nvars + nslack
     T, basis = [], []
     for row, sense in rows:
-        t = row[:-1] + [0] * (ncols - nvars) + row[-1:]
-        if sense != "==":
-            t[slack] = 1 if sense == "<=" else -1
-            slack += 1
         if sense == "<=":
-            basis.append(slack - 1)
+            basis.append(slack)
+            slack += 1
         else:
-            t[art] = 1
             basis.append(art)
             art += 1
+        t = row[:-1] + [0] * len(rows) + row[-1:]
+        t[basis[-1]] = 1
         T.append(t)
     d = 1  # the identity starting basis has determinant 1
 
@@ -88,8 +74,7 @@ def solve_lp(objective, constraints):
             return INFEASIBLE, None, None
         d = _drive_out_artificials(T, basis, d, artificial)
 
-    cost, scale = _integer_row(objective)
-    cost += [0] * (ncols - nvars)
+    cost = list(objective) + [0] * len(rows)
     value, d = _run(T, basis, cost, d, blocked=frozenset(artificial))
     if value is None:
         return UNBOUNDED, None, None
@@ -97,7 +82,7 @@ def solve_lp(objective, constraints):
     for i, bi in enumerate(basis):
         if bi < nvars:
             x[bi] = Fraction(T[i][-1], d)
-    return OPTIMAL, x, value / scale
+    return OPTIMAL, x, value
 
 
 def _run(T, basis, cost, d, blocked):

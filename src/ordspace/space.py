@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 
-PERM_LIMIT = 8  # point-count guard of the n! scans: canonical form, ball bijection
+PERM_LIMIT = 8  # point-count guard of the n! scans: canonical form, ball bijection, d_ord
 
 
 class Relation(enum.Enum):

@@ -1,9 +1,11 @@
 """Command-line interface: golden outputs, exit codes, JSON schema."""
 
+import argparse
 import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ import pytest
 
 from conftest import FIXTURES, collinear, random_space, space_from_values
 from ordspace import __version__
-from ordspace.cli import main
+from ordspace.cli import build_parser, main
 from ordspace.formats import format_rank_matrix
 
 HEADER = f"# ordspace {__version__} seed=0"
@@ -123,6 +125,12 @@ def test_hasse_dot_golden():
     assert "v3 -> v5;" in out
 
 
+def test_hasse_dot_refuses_json():
+    code, out, err = run("hasse", fx("min3.ord"), "--dot", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--dot" in err and "--format json" in err
+
+
 def test_hasse_text_round_trips(tmp_path):
     code, out, _ = run("hasse", fx("min4.ord"))
     assert code == 0
@@ -184,6 +192,26 @@ def test_readme_command_line_example():
         args = [FIXTURES.parent / a if a.startswith("fixtures/") else a for a in command.split()]
         _, out, _ = run(*args)
         assert out.splitlines() == shown, command
+
+
+def test_readme_table_lists_every_flag():
+    """Each subcommand row of the README table names the flags the parser
+    accepts for it, apart from the shared --format, --seed and -h."""
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Subcommands:", 1)[1].split("\n\n", 2)[1]
+    rows = {}
+    for row in table.splitlines()[2:]:
+        usage = row.split("`")[1]
+        rows[usage.split()[0]] = set(re.findall(r"--[a-z0-9-]+", usage))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = {"--format", "--seed", "-h", "--help"}
+    accepted = {
+        name: {o for a in sp._actions for o in a.option_strings} - shared
+        for name, sp in subparsers.choices.items()
+    }
+    assert rows == accepted
 
 
 def test_embednd_certificate_route():
@@ -377,18 +405,6 @@ def test_binary_input_is_an_input_error(tmp_path):
         assert "input error" in err and "Traceback" not in err, argv
 
 
-def test_limit_must_be_positive():
-    for argv in (
-        ("dord", fx("min3.ord"), fx("twomax3.ord"), "--limit", "-1"),
-        ("dord", fx("min3.ord"), fx("twomax3.ord"), "--limit", "0"),
-        ("embed1d", fx("min3.ord"), "--limit", "0"),
-        ("embed1d", fx("min3.ord"), "--limit", "-3"),
-    ):
-        code, out, err = run(*argv)
-        assert code == 2 and out == "", argv
-        assert "--limit" in err and "guard exceeded" not in err, argv
-
-
 def test_restarts_must_be_positive():
     for argv in (
         ("embednd", fx("min3.ord"), "--dim", "2", "--restarts", "0"),
@@ -492,3 +508,16 @@ def test_corrupted_fixtures_exit_with_documented_codes(tmp_path):
         assert code in (0, 1, 2, 3), (source.name, command, target.read_bytes(), err)
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(2, 0) > 0 and codes.get(0, 0) > 0, codes
+
+
+def test_dord_oracle_answers_up_to_eight_points(tmp_path):
+    # the oracle shares d_ord's 8-point cap, so it answers wherever d_ord does
+    a, b = tmp_path / "a8.ord", tmp_path / "b8.ord"
+    a.write_text(format_rank_matrix(collinear(0, 1, 3, 7, 12, 20, 30, 45)))
+    b.write_text(format_rank_matrix(collinear(0, 2, 3, 7, 12, 20, 31, 45)))
+    for argv in (("dord", fx("seven_swap.ord"), fx("seven_swap.ord"), "--oracle"),
+                 ("dord", a, b, "--oracle")):
+        code, out, err = run(*argv)
+        assert code == 0 and err == "", argv
+        value = out.splitlines()[1].removeprefix("d_ord = ")
+        assert f"oracle value: {value} (agrees: yes)" in out, argv

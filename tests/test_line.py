@@ -130,8 +130,8 @@ def test_find_majorizing_enumeration_examples():
     assert find_majorizing_enumeration(load_space("min3.ord")) == (0, 1, 2)
     assert find_majorizing_enumeration(load_space("case_d8.ord")) == (0, 1, 2, 3)
     assert find_majorizing_enumeration(ALL_EQUAL_3) is None
-    with pytest.raises(SizeLimitError):
-        find_majorizing_enumeration(ALL_EQUAL_3, limit=2)
+    with pytest.raises(SizeLimitError, match="size 9 exceeds guard limit 8"):
+        find_majorizing_enumeration(collinear(*range(9)))
 
 
 def test_embed_line_min3_witness():
@@ -157,8 +157,9 @@ def test_embed_line_d8_gap_proportions():
 def test_embed_line_guard_and_single_point():
     w = embed_line(space_from_values(1, []))
     assert w.ordering == (0,)
-    with pytest.raises(SizeLimitError):
-        embed_line(load_space("seven_swap.ord"), limit=6)
+    # the guard refuses nine points even when they lie on the line
+    with pytest.raises(SizeLimitError, match="size 9 exceeds guard limit 8"):
+        embed_line(collinear(*range(9)))
 
 
 def first_realizable_ordering(s):
@@ -430,10 +431,13 @@ def test_classify_four_point_matches_permutation_scan_on_raw_assignments():
 
 
 def test_classify_four_point_agrees_with_embed_line_on_every_class():
+    # every labelling: all 24 relabellings of each of the 225 classes
     spaces = enumerate_spaces(4, CensusFilter.ALL)
     assert len(spaces) == 225
     for s in spaces:
-        assert (classify_four_point(s) is not NOT_EMBEDDABLE) == (embed_line(s) is not None)
+        for perm in itertools.permutations(range(4)):
+            r = relabel(s, perm)
+            assert (classify_four_point(r) is NOT_EMBEDDABLE) == (embed_line(r) is None)
 
 
 def nested_ordering(s):

@@ -177,6 +177,33 @@ def test_comparisons_round_trip():
         assert from_comparisons(to_comparisons(s)) == s
 
 
+@st.composite
+def rewritten_comparisons(draw):
+    """A space on 1-6 points and its minimal comparison list, shuffled,
+    with points swapped within pairs and some LT entries written as GT
+    with their sides exchanged."""
+    n = draw(st.integers(1, 6))
+    p = n * (n - 1) // 2
+    s = space_from_values(n, draw(st.lists(st.integers(1, max(p, 1)), min_size=p, max_size=p)))
+    entries = []
+    for x, y, z, w, rel in draw(st.permutations(to_comparisons(s).entries)):
+        if draw(st.booleans()):
+            x, y = y, x
+        if draw(st.booleans()):
+            z, w = w, z
+        if rel is Relation.LT and draw(st.booleans()):
+            x, y, z, w, rel = z, w, x, y, Relation.GT
+        entries.append((x, y, z, w, rel))
+    return s, ComparisonList(n, tuple(entries))
+
+
+@settings(max_examples=300)
+@given(rewritten_comparisons())
+def test_comparisons_round_trip_survives_rewriting(case):
+    s, c = case
+    assert from_comparisons(c) == s
+
+
 def test_comparison_axiom_errors():
     LT, EQ, GT = Relation.LT, Relation.EQ, Relation.GT
     # 2-cycle: p < q and q < p
