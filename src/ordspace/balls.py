@@ -5,76 +5,43 @@ member set {x : rank(c, x) <= t} for t running over the spectrum values.
 A ball is its member set alone; `balls_at` still gives each center's chain.
 One bitmask kernel, `_ball_masks`, gives the set of balls as integers whose
 bit x is point x; `ball_set` sorts it, the census's ball counts take its
-length, and `hasse` finds covers with bitsets over the balls.
+length, and `hasse` finds covers with bitsets over the balls. One point
+search, `_family_map`, decides ball-structure isomorphism.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from .errors import SizeLimitError, ValidationError
-from .space import PERM_LIMIT, OrdinalSpace, _first_match
+from .space import OrdinalSpace
 
-VERTEX_LIMIT = 64  # diagram size guard of the isomorphism search
+VERTEX_LIMIT = 64  # set-count guard of the ball-structure isomorphism search
 
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Covering digraph of a finite family of sets ordered by inclusion,
-    stored as an abstract digraph: arcs point child -> parent."""
+    """Covering digraph of a finite family of point sets (frozensets)
+    ordered by inclusion: arcs, strict inclusions, point child -> parent."""
 
-    vertices: tuple  # hashable labels, deterministic order
+    vertices: tuple  # frozensets, deterministic order
     arcs: tuple  # (child_index, parent_index)
-    _levels: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = len(self.vertices)
-        if len(set(self.vertices)) != m:
+        vertices, m = self.vertices, len(self.vertices)
+        if not all(isinstance(v, frozenset) for v in vertices):
+            raise ValidationError("vertices must be frozensets of points")
+        if len(set(vertices)) != m:
             raise ValidationError("duplicate vertices")
         for u, v in self.arcs:
             if not (0 <= u < m and 0 <= v < m) or u == v:
                 raise ValidationError(f"bad arc ({u}, {v})")
+            if not vertices[u] < vertices[v]:
+                raise ValidationError(f"arc ({u}, {v}) is not a strict inclusion")
         if len(set(self.arcs)) != len(self.arcs):
             raise ValidationError("duplicate arcs")
-        levels = _source_levels(m, self.arcs)
-        if levels is None:
-            raise ValidationError("arcs must form an acyclic digraph")
-        object.__setattr__(self, "_levels", levels)
-
-    def invariants(self):
-        """Per-vertex (in-degree, out-degree, source level): the refinement
-        used to cut the isomorphism search."""
-        m = len(self.vertices)
-        ind, outd = [0] * m, [0] * m
-        for u, v in self.arcs:
-            outd[u] += 1
-            ind[v] += 1
-        return list(zip(ind, outd, self._levels))
-
-
-def _source_levels(m, arcs):
-    """Longest-path-from-a-source level per vertex; None on a cycle."""
-    indeg = [0] * m
-    succ = [[] for _ in range(m)]
-    for u, v in arcs:
-        succ[u].append(v)
-        indeg[v] += 1
-    level = [0] * m
-    queue = [i for i in range(m) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in succ[u]:
-            level[v] = max(level[v], level[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return level if seen == m else None
 
 
 def balls_at(s: OrdinalSpace, center: int):
@@ -137,64 +104,74 @@ def hasse(sets) -> HasseDiagram:
 
 
 # ---------------------------------------------------------------------------
-# digraph isomorphism
+# ball-structure isomorphism
 
-def _labelled(h: HasseDiagram, inv):
-    """The diagram as a matrix for `_first_match`: vertex invariants on the
-    diagonal, 1 at [child][parent] and 2 at [parent][child]. The diagram is
-    acyclic, so one entry tells both arc directions."""
-    m = len(h.vertices)
-    mat = [[0] * m for _ in range(m)]
-    for u, v in h.arcs:
-        mat[u][v], mat[v][u] = 1, 2
-    for i in range(m):
-        mat[i][i] = inv[i]
-    return mat
+def _family_map(fa, fb):
+    """The lexicographically first point bijection mapping the set family
+    fa onto fb, as the images of fa's points in ascending order, or None.
 
-
-def find_hasse_isomorphism(a: HasseDiagram, b: HasseDiagram):
-    """Arc-preserving vertex bijection between two diagrams, or None.
-
-    Isomorphism of the abstract digraphs; vertex labels carry no weight.
-    A vertex maps only to one with equal (in-degree, out-degree, source
-    level) invariants; vertices are placed rarest invariant first, and the
-    witness is the first map found in that order, images tried ascending.
+    Points are placed ascending and images tried ascending. A point maps
+    only to one lying in as many sets of each size, and once a set's last
+    point is placed, its image must be in fb: a complete map sends fa
+    into fb injectively, so onto it, the families being equally large.
     """
-    ma, mb = len(a.vertices), len(b.vertices)
-    if max(ma, mb) > VERTEX_LIMIT:
-        raise SizeLimitError("hasse isomorphism", max(ma, mb), VERTEX_LIMIT)
-    if ma != mb:
+    size = max(len(fa), len(fb))
+    if size > VERTEX_LIMIT:
+        raise SizeLimitError("hasse isomorphism", size, VERTEX_LIMIT)
+    pa, pb = (sorted(frozenset().union(*f)) for f in (fa, fb))
+    if len(fa) != len(fb) or len(pa) != len(pb):
         return None
-    inv_a, inv_b = a.invariants(), b.invariants()
-    if sorted(inv_a) != sorted(inv_b):
+    profile_a, profile_b = (
+        [sorted(len(s) for s in f if x in s) for x in p] for f, p in ((fa, pa), (fb, pb))
+    )
+    if sorted(profile_a) != sorted(profile_b):
         return None
-    freq = Counter(inv_a)
-    order = sorted(range(ma), key=lambda i: (freq[inv_a[i]], inv_a[i], i))
-    return _first_match(_labelled(a, inv_a), _labelled(b, inv_b), order)
+    n, at_a = len(pa), {x: i for i, x in enumerate(pa)}
+    targets = {sum(1 << i for i, x in enumerate(pb) if x in s) for s in fb}
+    closing = [[] for _ in range(n + 1)]  # fa's sets as positions, by last one
+    for s in fa:
+        members = sorted(map(at_a.get, s))
+        closing[members[-1] if members else 0].append(members)
+    image, used, c = [], [False] * n, 0
+    while len(image) < n:
+        u = len(image)
+        for c in range(c, n):
+            if used[c] or profile_b[c] != profile_a[u]:
+                continue
+            image.append(c)
+            if all(sum(1 << image[x] for x in s) in targets for s in closing[u]):
+                break
+            image.pop()
+        else:
+            if not image:
+                return None
+            c = image.pop()
+            used[c] = False
+            c += 1
+            continue
+        used[c] = True
+        c = 0
+    return tuple(pb[c] for c in image)
 
 
 def hasse_isomorphic(a: HasseDiagram, b: HasseDiagram) -> bool:
-    return find_hasse_isomorphism(a, b) is not None
+    """Are two ball diagrams isomorphic as digraphs?
+
+    Decided as a point bijection between the vertex families; the arcs,
+    the covers of the family, are not read. The minimal balls are exactly
+    the singletons, the sources of the digraph, so an isomorphism induces
+    a point bijection f. A ball holds the points whose singletons reach it
+    along arcs, so each ball B goes to f(B). Conversely a point bijection
+    mapping one family onto the other keeps inclusion, hence covers.
+    """
+    return _family_map(a.vertices, b.vertices) is not None
 
 
 def ball_preserving_bijection(a: OrdinalSpace, b: OrdinalSpace):
-    """Point bijection mapping balls onto balls in both directions, or None.
+    """The lexicographically first point bijection mapping balls onto
+    balls in both directions, or None.
 
-    Since a point bijection acts injectively on member sets, checking that
-    every ball of a lands in b's ball family plus equal family sizes already
-    forces the map to be onto, so preimages of b-balls are a-balls too.
     Kept for a paper claim: `tree5_a`/`tree5_b` have one without being
-    isomorphic.
+    isomorphic. Its answer is `hasse_isomorphic`'s on their diagrams.
     """
-    if a.n > PERM_LIMIT:
-        raise SizeLimitError("ball preserving bijection", a.n, PERM_LIMIT)
-    if a.n != b.n:
-        return None
-    balls_a = set(ball_set(a))
-    balls_b = set(ball_set(b))
-    if len(balls_a) != len(balls_b):
-        return None
-    for f in itertools.permutations(range(b.n)):
-        if all(frozenset(f[x] for x in ball) in balls_b for ball in balls_a):
-            return f
-    return None
+    return _family_map(ball_set(a), ball_set(b))

@@ -142,7 +142,9 @@ def cmd_validate(args):
             args,
             {
                 "valid": False,
-                "underdetermined": [list(exc.class_a), list(exc.class_b)],
+                "underdetermined": [
+                    [[x + 1, y + 1] for x, y in cls] for cls in (exc.class_a, exc.class_b)
+                ],
             },
             [
                 "invalid: comparisons leave two pair classes unordered",

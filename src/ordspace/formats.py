@@ -211,17 +211,10 @@ def point_map_label(f):
     return " ".join(f"{point_label(i)}->{point_label(j)}" for i, j in enumerate(f))
 
 
-def _set_vertices(h: HasseDiagram):
-    """The vertices of a diagram that has a text form: sets of points."""
-    if not all(isinstance(v, frozenset) for v in h.vertices):
-        raise ValidationError("only set-labeled diagrams have a text form")
-    return h.vertices
-
-
 def format_hasse(h: HasseDiagram) -> str:
-    """Write a diagram whose vertices are frozensets of point indices.
-    Vertices are emitted sorted by (size, members) for stable bytes."""
-    vertices = _set_vertices(h)
+    """Write a diagram with vertices sorted by (size, members) for stable
+    bytes."""
+    vertices = h.vertices
     order = sorted(range(len(vertices)), key=lambda i: (len(vertices[i]), sorted(vertices[i])))
     new_id = {old: pos + 1 for pos, old in enumerate(order)}
     lines = [f"hasse {len(vertices)}"]
@@ -236,7 +229,7 @@ def format_hasse(h: HasseDiagram) -> str:
 def hasse_dot(h: HasseDiagram) -> str:
     """Deterministic DOT rendering in vertex order, {x1,x2} labels."""
     lines = ["digraph hasse {"]
-    for i, v in enumerate(_set_vertices(h)):
+    for i, v in enumerate(h.vertices):
         lines.append(f'  v{i} [label="{point_set_label(v)}"];')
     for u, v in sorted(h.arcs):
         lines.append(f"  v{u} -> v{v};")

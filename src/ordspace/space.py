@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 
-PERM_LIMIT = 8  # point-count guard of the n! scans: canonical form, ball bijection, d_ord
+PERM_LIMIT = 8  # point-count guard of the n! scans: canonical form, d_ord
 
 
 class Relation(enum.Enum):
@@ -435,54 +435,41 @@ def canonical_form(s: OrdinalSpace) -> OrdinalSpace:
     return OrdinalSpace.from_levels(s.n, canonical_level_vector(s.level_vector(), s.n))
 
 
-def _first_match(ma, mb, order):
-    """First label-preserving map between two square matrices, or None.
-
-    Places the rows of ma in `order`, trying images in ascending order:
-    image c is accepted for u iff mb[c][c] == ma[u][u] and
-    ma[u][w] == mb[c][f(w)] for every w already placed. So the diagonal
-    carries vertex labels and each off-diagonal entry a pair label; on
-    matrices of equal size a complete map is a bijection preserving both.
-    """
-    n = len(ma)
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(pos):
-        if pos == n:
-            return True
-        u = order[pos]
-        row = ma[u]
-        placed = order[:pos]
-        for c in range(n):
-            if used[c] or mb[c][c] != row[u]:
-                continue
-            crow = mb[c]
-            for w in placed:
-                if row[w] != crow[image[w]]:
-                    break
-            else:
-                image[u] = c
-                used[c] = True
-                if extend(pos + 1):
-                    return True
-                used[c] = False
-        return False
-
-    return tuple(image) if extend(0) else None
-
-
 def find_isomorphism(a: OrdinalSpace, b: OrdinalSpace):
     """A rank-preserving relabeling a -> b, or None.
 
     The witness is the lexicographically first one: points are placed in
     index order and images tried ascending, and a partial map survives only
     if every already-assigned rank agrees, which prunes hard on small
-    spaces.
+    spaces. The images placed so far are its stack, so no recursion limit
+    bounds the point count.
     """
     if a.n != b.n or a.k != b.k:
         return None
-    return _first_match(a.ranks, b.ranks, range(a.n))
+    n, ra, rb = a.n, a.ranks, b.ranks
+    image, used, c = [], [False] * n, 0
+    while len(image) < n:
+        row = ra[len(image)]
+        for c in range(c, n):
+            if used[c]:
+                continue
+            crow = rb[c]
+            for w, fw in enumerate(image):
+                if row[w] != crow[fw]:
+                    break
+            else:
+                break
+        else:
+            if not image:
+                return None
+            c = image.pop()
+            used[c] = False
+            c += 1
+            continue
+        image.append(c)
+        used[c] = True
+        c = 0
+    return tuple(image)
 
 
 def is_isomorphic(a: OrdinalSpace, b: OrdinalSpace) -> bool:

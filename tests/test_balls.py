@@ -17,14 +17,14 @@ from conftest import (
     relabel,
     space_from_values,
 )
-from ordspace import balls, cli
+from ordspace import cli
 from ordspace.balls import (
     HasseDiagram,
     _ball_masks,
+    _family_map,
     ball_preserving_bijection,
     ball_set,
     balls_at,
-    find_hasse_isomorphism,
     hasse,
     hasse_isomorphic,
 )
@@ -125,15 +125,28 @@ def test_hasse_isomorphism_tree_vs_grid():
     assert not hasse_isomorphic(tree, grid)
 
 
+def _induced_vertex_map(a, b, f):
+    """The vertex map a -> b that a point map induces, f[x] the image of x."""
+    index = {v: i for i, v in enumerate(b.vertices)}
+    return [index[frozenset(f[x] for x in v)] for v in a.vertices]
+
+
+def _preserves_arcs(a, b, g):
+    """Is g a vertex bijection with (u, v) an arc of a iff (g[u], g[v]) is
+    one of b?"""
+    arcs_a, arcs_b = set(a.arcs), set(b.arcs)
+    m = len(a.vertices)
+    return sorted(g) == list(range(len(b.vertices))) and all(
+        ((u, v) in arcs_a) == ((g[u], g[v]) in arcs_b) for u, v in itertools.permutations(range(m), 2)
+    )
+
+
 def test_hasse_isomorphism_witness_preserves_arcs():
     a = hasse(ball_set(load_space("min4.ord")))
     b = load_hasse("ref4.hasse")
-    f = find_hasse_isomorphism(a, b)
-    assert f is not None
-    arcs_b = set(b.arcs)
-    assert len(set(f)) == len(a.vertices)
-    for u, v in a.arcs:
-        assert (f[u], f[v]) in arcs_b
+    f = _family_map(a.vertices, b.vertices)
+    assert f is not None and hasse_isomorphic(a, b)
+    assert _preserves_arcs(a, b, _induced_vertex_map(a, b, f))
 
 
 def test_hasse_isomorphism_finds_every_relabelled_class_diagram():
@@ -142,31 +155,39 @@ def test_hasse_isomorphism_finds_every_relabelled_class_diagram():
         for s in enumerate_spaces(n, CensusFilter.ALL):
             a = hasse(ball_set(s))
             m = len(a.vertices)
+            points = list(range(n))
+            rng.shuffle(points)  # point x of a becomes points[x] of b
             perm = list(range(m))
             rng.shuffle(perm)  # vertex v of a becomes perm[v] of b
             verts = [None] * m
             for v in range(m):
-                verts[perm[v]] = a.vertices[v]
+                verts[perm[v]] = frozenset(points[x] for x in a.vertices[v])
             b = HasseDiagram(tuple(verts), tuple((perm[u], perm[v]) for u, v in a.arcs))
-            f = find_hasse_isomorphism(a, b)
-            assert f is not None and sorted(f) == list(range(m))
-            arcs_a, arcs_b = set(a.arcs), set(b.arcs)
-            for u, v in itertools.permutations(range(m), 2):
-                assert ((u, v) in arcs_a) == ((f[u], f[v]) in arcs_b)
+            f = _family_map(a.vertices, b.vertices)
+            assert f is not None and sorted(f) == list(range(n))
+            assert _preserves_arcs(a, b, _induced_vertex_map(a, b, f))
+
+
+def _guard_spaces():
+    """Random ten-point spaces with 79 and 82 balls, past the 64-set guard."""
+    rng = random.Random(10)
+    return random_space(rng, 10), random_space(rng, 10)
 
 
 def test_hasse_isomorphism_vertex_guard():
-    # these random ten-point spaces have 79 and 82 balls, past the 64-vertex guard
-    rng = random.Random(10)
-    a, b = random_space(rng, 10), random_space(rng, 10)
+    a, b = _guard_spaces()
     with pytest.raises(SizeLimitError, match="hasse isomorphism: size 82 exceeds guard limit 64"):
-        find_hasse_isomorphism(hasse(ball_set(a)), hasse(ball_set(b)))
+        hasse_isomorphic(hasse(ball_set(a)), hasse(ball_set(b)))
 
 
 def test_ball_bijection_point_guard():
+    a, b = _guard_spaces()
+    with pytest.raises(SizeLimitError, match="hasse isomorphism: size 82 exceeds guard limit 64"):
+        ball_preserving_bijection(a, b)
+    # nine points with distinct ranks have 45 balls, inside the guard
     nine = space_from_values(9, list(range(36)))
-    with pytest.raises(SizeLimitError, match="size 9 exceeds guard limit 8"):
-        ball_preserving_bijection(nine, nine)
+    assert len(ball_set(nine)) == 45
+    assert ball_preserving_bijection(nine, nine) == tuple(range(9))
 
 
 def test_ball_bijection_iff_hasse_isomorphic_n3():
@@ -306,22 +327,95 @@ def test_balls_and_hasse_commands_match_the_set_definitions(monkeypatch):
     assert got == [_cli_output(*args) for args in runs]
 
 
-def test_hasse_levels_are_computed_once_per_diagram(monkeypatch):
-    calls = []
-    levels = balls._source_levels
-
-    def counted(*args):
-        calls.append(args)
-        return levels(*args)
-
-    monkeypatch.setattr(balls, "_source_levels", counted)
-    h = hasse(ball_set(load_space("tree5_a.ord")))
-    first, second = h.invariants(), h.invariants()
-    assert len(calls) == 1
-    assert first == second and [lv for _, _, lv in first] == levels(*calls[0])
-
-
 def test_ball_preserving_bijection_needs_equal_point_counts():
     two, three = space_from_values(2, [1]), space_from_values(3, [1, 2, 3])
     assert ball_preserving_bijection(two, three) is None
     assert ball_preserving_bijection(three, two) is None
+
+
+# ---------------------------------------------------------------------------
+# the point search against independent references
+
+
+def scan_bijection(a, b):
+    """The n! scan: the first point permutation, in lexicographic order,
+    that maps every ball of a to a ball of b, on equally many balls."""
+    balls_a, balls_b = set(ball_set(a)), set(ball_set(b))
+    if a.n != b.n or len(balls_a) != len(balls_b):
+        return None
+    for f in itertools.permutations(range(a.n)):
+        if all(frozenset(f[x] for x in ball) in balls_b for ball in balls_a):
+            return f
+    return None
+
+
+def digraph_isomorphic(a, b):
+    """Is there a vertex bijection g with (u, v) an arc of a iff
+    (g[u], g[v]) is an arc of b? Vertices are placed in index order, each
+    tried against every unused vertex of b; vertex sets carry no weight."""
+    m = len(a.vertices)
+    if m != len(b.vertices) or len(a.arcs) != len(b.arcs):
+        return False
+    arcs_a, arcs_b = set(a.arcs), set(b.arcs)
+    g = []
+
+    def extend():
+        u = len(g)
+        if u == m:
+            return True
+        for c in range(m):
+            if c not in g and all(
+                ((u, w) in arcs_a) == ((c, g[w]) in arcs_b)
+                and ((w, u) in arcs_a) == ((g[w], c) in arcs_b)
+                for w in range(u)
+            ):
+                g.append(c)
+                if extend():
+                    return True
+                g.pop()
+        return False
+
+    return extend()
+
+
+def test_ball_bijection_is_the_first_of_the_permutation_scan():
+    rng = random.Random(29)
+    checked = found = 0
+    for n in range(2, 8):
+        for i in range(24 if n < 7 else 12):
+            a = random_space(rng, n, rng.choice([None, 2, 3, 5]))
+            if i % 3:  # a random space, with as many balls as a if one of ten has
+                drawn = [random_space(rng, n, rng.choice([None, 2, 3, 5])) for _ in range(10)]
+                b = next((c for c in drawn if len(ball_set(c)) == len(ball_set(a))), drawn[0])
+            else:
+                points = list(range(n))
+                rng.shuffle(points)
+                b = relabel(a, points)
+            f = ball_preserving_bijection(a, b)
+            assert f == scan_bijection(a, b), (a, b)
+            checked += 1
+            found += f is not None
+    assert found > checked // 3  # the relabelled pairs and a few more
+    tree_a, tree_b = load_space("tree5_a.ord"), load_space("tree5_b.ord")
+    assert ball_preserving_bijection(tree_a, tree_b) == scan_bijection(tree_a, tree_b)
+
+
+def test_hasse_isomorphic_agrees_with_a_literal_digraph_isomorphism():
+    diagrams = [
+        hasse(ball_set(s)) for n in (1, 2, 3) for s in enumerate_spaces(n, CensusFilter.ALL)
+    ]
+    for a, b in itertools.product(diagrams, repeat=2):
+        assert hasse_isomorphic(a, b) == digraph_isomorphic(a, b)
+    by_count = {}
+    for s in enumerate_spaces(4, CensusFilter.ALL):
+        h = hasse(ball_set(s))
+        by_count.setdefault(len(h.vertices), []).append(h)
+    rng = random.Random(31)
+    counts = sorted(by_count)
+    answers = []
+    for _ in range(300):
+        group = by_count[rng.choice(counts)]
+        a, b = rng.choice(group), rng.choice(group)
+        answers.append(hasse_isomorphic(a, b))
+        assert answers[-1] == digraph_isomorphic(a, b)
+    assert True in answers and False in answers

@@ -16,7 +16,8 @@ import pytest
 from conftest import FIXTURES, collinear, random_space, space_from_values
 from ordspace import __version__
 from ordspace.cli import build_parser, main
-from ordspace.formats import format_rank_matrix
+from ordspace.formats import format_rank_matrix, parse_rank_matrix
+from ordspace.space import find_isomorphism
 
 HEADER = f"# ordspace {__version__} seed=0"
 
@@ -180,6 +181,10 @@ def test_validate_underdetermined(tmp_path):
     assert code == 1
     assert "invalid: comparisons leave two pair classes unordered" in out
     assert "classes: (x1,x2) vs (x2,x3)" in out
+    code, out, _ = run("validate", f, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["underdetermined"] == [[[1, 2]], [[2, 3]]]
 
 
 def test_readme_command_line_example():
@@ -192,6 +197,21 @@ def test_readme_command_line_example():
         args = [FIXTURES.parent / a if a.startswith("fixtures/") else a for a in command.split()]
         _, out, _ = run(*args)
         assert out.splitlines() == shown, command
+
+
+def test_readme_guards_name_every_limit():
+    """Each module-level *_LIMIT constant of the package is named, as
+    `module.NAME`, in the README's paragraph on guards."""
+    root = FIXTURES.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    guards = readme.split("Guards are fixed constants", 1)[1].split("\n\n", 1)[0]
+    names = [
+        f"{path.stem}.{name}"
+        for path in sorted((root / "src" / "ordspace").glob("*.py"))
+        for name in re.findall(r"^([A-Z_]+_LIMIT) =", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert len(names) >= 3
+    assert [name for name in names if f"`{name}`" not in guards] == []
 
 
 def test_readme_table_lists_every_flag():
@@ -301,6 +321,22 @@ def test_iso_past_the_hasse_vertex_guard_exits_3(tmp_path):
     code, out, err = run("iso", *files)
     assert code == 3 and out == ""
     assert err == "guard exceeded: hasse isomorphism: size 82 exceeds guard limit 64\n"
+
+
+def test_iso_on_large_spaces_stops_at_the_hasse_guard(tmp_path):
+    """The point match on 1,100 points keeps its own stack, so no recursion
+    limit is hit; the 1,101 balls then exceed the 64-set Hasse guard."""
+    n = 1100
+    row = lambda i: " ".join("0" if j == i else "1" for j in range(n))
+    text = f"{n} 1\n" + "\n".join(map(row, range(n))) + "\n"
+    a, b = tmp_path / "a.ord", tmp_path / "b.ord"
+    a.write_text(text)
+    b.write_text(text)
+    code, out, err = run("iso", a, b)
+    assert (code, out) == (3, "")
+    assert err == "guard exceeded: hasse isomorphism: size 1101 exceeds guard limit 64\n"
+    s = parse_rank_matrix(text)
+    assert find_isomorphism(s, s) == tuple(range(n))
 
 
 def test_embednd_exact_coordinates_route():
