@@ -106,14 +106,30 @@ def hasse(sets) -> HasseDiagram:
 # ---------------------------------------------------------------------------
 # ball-structure isomorphism
 
+def _pair_profiles(family, points):
+    """profiles[i][j]: the sorted sizes of the sets holding both
+    points[i] and points[j], as a list."""
+    at = {x: i for i, x in enumerate(points)}
+    profiles = [[[] for _ in points] for _ in points]
+    for s in sorted(family, key=len):
+        members = [at[x] for x in s]
+        for i in members:
+            row = profiles[i]
+            for j in members:
+                row[j].append(len(s))
+    return profiles
+
+
 def _family_map(fa, fb):
     """The lexicographically first point bijection mapping the set family
     fa onto fb, as the images of fa's points in ascending order, or None.
 
     Points are placed ascending and images tried ascending. A point maps
-    only to one lying in as many sets of each size, and once a set's last
-    point is placed, its image must be in fb: a complete map sends fa
-    into fb injectively, so onto it, the families being equally large.
+    only to one lying in as many sets of each size, and u goes to c only
+    if, for every placed w, {u, w} and {c, f(w)} lie in as many sets of
+    each size. Once a set's last point is placed, its image must be in
+    fb: a complete map sends fa into fb injectively, so onto it, the
+    families being equally large.
     """
     size = max(len(fa), len(fb))
     if size > VERTEX_LIMIT:
@@ -127,6 +143,7 @@ def _family_map(fa, fb):
     if sorted(profile_a) != sorted(profile_b):
         return None
     n, at_a = len(pa), {x: i for i, x in enumerate(pa)}
+    pair_a, pair_b = (_pair_profiles(f, p) for f, p in ((fa, pa), (fb, pb)))
     targets = {sum(1 << i for i, x in enumerate(pb) if x in s) for s in fb}
     closing = [[] for _ in range(n + 1)]  # fa's sets as positions, by last one
     for s in fa:
@@ -137,6 +154,8 @@ def _family_map(fa, fb):
         u = len(image)
         for c in range(c, n):
             if used[c] or profile_b[c] != profile_a[u]:
+                continue
+            if any(pair_b[c][image[w]] != pair_a[u][w] for w in range(u)):
                 continue
             image.append(c)
             if all(sum(1 << image[x] for x in s) in targets for s in closing[u]):

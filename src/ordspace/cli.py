@@ -176,7 +176,7 @@ def cmd_iso(args):
         return EXIT_NEGATIVE
     _emit(
         args,
-        {"isomorphic": True, "witness": list(f), "hasse_isomorphic": hi},
+        {"isomorphic": True, "witness": [y + 1 for y in f], "hasse_isomorphic": hi},
         [f"isomorphic; witness: {point_map_label(f)}", f"Hasse diagrams isomorphic: {hword}"],
     )
     return EXIT_OK
@@ -194,8 +194,10 @@ def cmd_dord(args):
     lines.extend(f"  {pair_label(*pa)} vs {pair_label(*pb)}" for pa, pb in res.disagreements)
     payload = {
         "value": res.value,
-        "witness": list(res.witness),
-        "disagreements": [[list(pa), list(pb)] for pa, pb in res.disagreements],
+        "witness": [y + 1 for y in res.witness],
+        "disagreements": [
+            [[x + 1 for x in pa], [x + 1 for x in pb]] for pa, pb in res.disagreements
+        ],
     }
     if args.oracle:
         ov, _ = d_ord_oracle(a, b)

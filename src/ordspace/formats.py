@@ -12,7 +12,8 @@ rank matrix      line "n k", then n rows of n integers
 distance matrix  n rows of n comma-separated values, decimal or p/q literals
 comparisons      line "n", then lines "x y z w REL" with REL in {LT, EQ, GT}
 diagram          line "hasse m", then m lines "v ID : members" and
-                 arc lines "a CHILD PARENT" (vertex ids, child -> parent)
+                 arc lines "a CHILD PARENT" (vertex ids, child -> parent),
+                 exactly the covers of the sets under inclusion
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .balls import HasseDiagram
+from .balls import HasseDiagram, hasse
 from .errors import ValidationError
 from .space import ComparisonList, DistanceMatrix, OrdinalSpace, Relation
 
@@ -143,7 +144,8 @@ def format_comparisons(c: ComparisonList) -> str:
 
 def parse_hasse(text: str) -> HasseDiagram:
     """Read a ball inclusion diagram. Vertices are sets of 1-based point
-    ids in the file and frozensets of 0-based indices in the API."""
+    ids in the file and frozensets of 0-based indices in the API; the arcs
+    must be exactly the covers of the vertex sets under inclusion."""
     lines = _payload_lines(text)
     if not lines:
         raise ValidationError("empty diagram file")
@@ -188,10 +190,15 @@ def parse_hasse(text: str) -> HasseDiagram:
     for u, v in arcs:
         if u not in index or v not in index:
             raise ValidationError(f"arc ({u}, {v}) names an unknown vertex id")
-    return HasseDiagram(
+    h = HasseDiagram(
         vertices=tuple(by_id[vid] for vid in order),
         arcs=tuple((index[u], index[v]) for u, v in arcs),
     )
+    by_size = sorted(h.vertices, key=len)
+    covers = {(by_size[u], by_size[v]) for u, v in hasse(by_size).arcs}
+    if {(h.vertices[u], h.vertices[v]) for u, v in h.arcs} != covers:
+        raise ValidationError("arcs are not the covers of the vertex sets")
+    return h
 
 
 def point_label(i):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from ordspace.balls import (
 from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.formats import hasse_dot
-from ordspace.space import DistanceMatrix, is_isomorphic, ordinal_type, realize
+from ordspace.space import DistanceMatrix, OrdinalSpace, is_isomorphic, ordinal_type, realize
 
 # the six-point table lists one ball chain per center; a..f are points 1..6
 TABLE_CHAINS = {
@@ -188,6 +189,38 @@ def test_ball_bijection_point_guard():
     nine = space_from_values(9, list(range(36)))
     assert len(ball_set(nine)) == 45
     assert ball_preserving_bijection(nine, nine) == tuple(range(9))
+
+
+def _cycles_space(n, cycles, labels):
+    """n points at rank 2 apart, except consecutive points of each cycle,
+    read off `labels` in turn, at rank 1."""
+    rows = [[0 if x == y else 2 for y in range(n)] for x in range(n)]
+    start = 0
+    for k in cycles:
+        for t in range(k):
+            x, y = labels[start + t], labels[start + (t + 1) % k]
+            rows[x][y] = rows[y][x] = 1
+        start += k
+    return OrdinalSpace(n, 2, tuple(map(tuple, rows)))
+
+
+def test_ball_bijection_is_fast_on_cycle_families():
+    # C5 + C7 against C12 on 16 points: 29 balls each (16 points, 12
+    # closed neighbourhoods, the whole set), and every point lies in as
+    # many sets of each size on both sides; only pairs of points tell them
+    # apart. Each labelling took more than 4 s without the pair test.
+    rng = random.Random(0)
+    for _ in range(3):
+        la, lb = rng.sample(range(16), 16), rng.sample(range(16), 16)
+        a = _cycles_space(16, (5, 7), la)
+        b = _cycles_space(16, (12,), lb)
+        assert len(ball_set(a)) == len(ball_set(b)) == 29
+        start = time.perf_counter()
+        assert ball_preserving_bijection(a, b) is None
+        assert time.perf_counter() - start < 2
+    c = _cycles_space(16, (5, 7), lb)
+    f = ball_preserving_bijection(a, c)
+    assert {frozenset(f[x] for x in s) for s in ball_set(a)} == set(ball_set(c))
 
 
 def test_ball_bijection_iff_hasse_isomorphic_n3():

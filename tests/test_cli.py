@@ -478,7 +478,20 @@ def test_json_reports_carry_version_and_seed():
     assert data["seed"] == 5
     assert data["command"] == "dord"
     assert data["value"] == 1
-    assert data["witness"] == [0, 1, 2]
+    assert data["witness"] == [1, 2, 3]
+
+
+def test_iso_and_dord_json_points_are_1_based(tmp_path):
+    f = tmp_path / "min3_swapped.ord"
+    f.write_text("3 3\n0 2 3\n2 0 1\n3 1 0\n")  # min3.ord with x1 and x3 exchanged
+    code, out, _ = run("iso", fx("min3.ord"), f, "--format", "json")
+    assert code == 0 and json.loads(out)["witness"] == [3, 2, 1]
+    code, out, _ = run("iso", fx("min3.ord"), f)
+    assert "isomorphic; witness: x1->x3 x2->x2 x3->x1" in out
+    code, out, _ = run("dord", fx("tree5_a.ord"), fx("tree5_b.ord"), "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["witness"] == [1, 2, 3, 4, 5]
+    assert data["disagreements"] == [[[1, 2], [3, 4]], [[1, 2], [3, 5]]]
 
 
 def test_embed1d_json_negative():

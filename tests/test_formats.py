@@ -131,6 +131,9 @@ PARSE_ERRORS = [
     (parse_hasse, "hasse 1\nv 1 : 1\na 1 1\n", r"bad arc \(0, 0\)", None),
     (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\na 1 2\na 1 2\n", "duplicate arcs", None),
     (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\na 1 2\na 2 1\n", r"arc \(1, 0\) is not a strict inclusion", None),
+    # strict inclusions that are not the covers: one missing, one skipping a level
+    (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\n", "arcs are not the covers", None),
+    (parse_hasse, fixture_text("ref4.hasse") + "a 1 8\n", "arcs are not the covers", None),
 ]
 
 

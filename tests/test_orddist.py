@@ -3,14 +3,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import collinear, load_space, random_space, relabel, space_from_values
 from ordspace.errors import SizeLimitError, ValidationError
-from ordspace.orddist import d_ord, d_ord_oracle
-from ordspace.space import find_isomorphism, is_isomorphic
+from ordspace.orddist import OrdDistResult, _scan_tables, d_ord, d_ord_oracle
+from ordspace.space import PERM_LIMIT, all_pairs, find_isomorphism, is_isomorphic
 
 THREE_POINT_TYPES = [
     space_from_values(3, [1, 1, 1]),
@@ -184,3 +185,89 @@ def test_guards():
 def test_oracle_needs_equal_cardinalities():
     with pytest.raises(ValidationError, match="same cardinality"):
         d_ord_oracle(load_space("min3.ord"), load_space("min4.ord"))
+
+
+def reference_d_ord(a, b):
+    """The integer block scorer that preceded the float32 one, kept as it
+    was: b's levels under each permutation of a block, then the signs of
+    all comparisons against a's, counted per row."""
+    if a.n != b.n:
+        raise ValidationError("spaces must have the same cardinality")
+    n = a.n
+    if n > PERM_LIMIT:
+        raise SizeLimitError("d_ord points", n, PERM_LIMIT)
+    if n < 3:  # at most one pair: no comparisons to disagree on
+        return OrdDistResult(0, tuple(range(n)), ())
+    pairs = all_pairs(n)
+    first, second = np.array(pairs).T
+    u, v = np.array(list(itertools.combinations(range(len(pairs)), 2))).T
+    # signed and wide enough for every level and every difference of two
+    dtype = np.min_scalar_type(-1 - max(a.k, b.k))
+    levels_a = np.array([a.ranks[i][j] for i, j in pairs], dtype=dtype)
+    signs_a = np.sign(levels_a[u] - levels_a[v])
+    ranks_b = np.array(b.ranks, dtype=dtype)
+
+    def mismatches(perms):
+        levels = ranks_b[perms[:, first], perms[:, second]]
+        return np.sign(levels[:, u] - levels[:, v]) != signs_a
+
+    free = min(n, 5)  # points permuted within one block of at most 120 rows
+    fixed = n - free
+    tails = np.array(list(itertools.permutations(range(free))))
+    block = np.empty((len(tails), n), dtype=np.intp)
+    best_value = len(u) + 1
+    for head in itertools.permutations(range(n), fixed):
+        block[:, :fixed] = head
+        block[:, fixed:] = np.array(sorted(set(range(n)) - set(head)))[tails]
+        counts = mismatches(block).sum(axis=1)
+        row = counts.argmin()
+        if counts[row] < best_value:
+            best_value, best_perm = int(counts[row]), tuple(block[row].tolist())
+    wrong = np.flatnonzero(mismatches(np.array([best_perm]))[0])
+    return OrdDistResult(
+        best_value, best_perm, tuple((pairs[u[c]], pairs[v[c]]) for c in wrong)
+    )
+
+
+def injective_pair(rng, n, near):
+    """Two spaces with distinct ranks, as the distance benchmark draws
+    them: independent, or (near) a relabelled copy with up to three
+    exchanges of two consecutive ranks."""
+    p = n * (n - 1) // 2
+    values = rng.sample(range(p), p)
+    if not near:
+        return space_from_values(n, values), space_from_values(n, rng.sample(range(p), p))
+    swapped = list(values)
+    for _ in range(rng.randint(0, 3)):
+        r = rng.randrange(p - 1)
+        swapped = [2 * r + 1 - x if x in (r, r + 1) else x for x in swapped]
+    return space_from_values(n, values), relabel(space_from_values(n, swapped), rng.sample(range(n), n))
+
+
+def test_matches_reference_scorer_on_seeded_pairs():
+    rng = random.Random(22)
+    pairs = []
+    for n in range(1, 8):
+        for _ in range(80):
+            levels = rng.choice((1, 2, 3, 6, None))
+            pairs.append((random_space(rng, n, levels), random_space(rng, n, levels)))
+    for levels in (1, 3, 28):
+        for _ in range(4):
+            pairs.append((random_space(rng, 8, levels), random_space(rng, 8, rng.choice((1, 3, 28)))))
+    for n in (6, 7):
+        for _ in range(12):
+            pairs.append(injective_pair(rng, n, near=True))
+            pairs.append(injective_pair(rng, n, near=False))
+    assert len(pairs) == 620
+    for a, b in pairs:
+        assert d_ord(a, b) == reference_d_ord(a, b)
+
+
+def test_scan_tables_stay_small():
+    # the tables are cached for the life of the process; the gather is
+    # several times slower on narrower or Fortran-ordered indices
+    for n in range(3, PERM_LIMIT + 1):
+        pairs, tables = _scan_tables(n)
+        assert sum(t.nbytes for t in tables) < 512 * 1024
+        assert all(t.dtype == np.intp and t.flags.c_contiguous for t in tables)
+        assert not any(t.flags.writeable for t in tables)
