@@ -21,6 +21,12 @@ from .errors import SizeLimitError, ValidationError
 from .space import PERM_LIMIT, OrdinalSpace, all_pairs
 
 
+# multiply-adds per float32 product in d_ord. OpenBLAS runs a product this
+# small on one thread; a larger one may wake a second thread, which then
+# spin-waits between calls and takes a core from the caller.
+PRODUCT_SIZE = 1 << 18
+
+
 @dataclass(frozen=True)
 class OrdDistResult:
     value: int
@@ -37,14 +43,19 @@ def _scan_tables(n):
     positions). `orders[h]` is the point order "head, then the other
     points ascending", `heads[h]` its pair map, and `tails[t]` the
     positions a tail sends the points to, so bijection (h, t) is
-    `orders[h][tails[t]]`. `flat[t, c]` is P * m + Q for the pairs P, Q
-    that comparison c reads under tail t, in a sign table relabelled by a
-    head. C-contiguous intp indices keep the gather fast.
+    `orders[h][tails[t]]`. Comparison c reads the pairs u[c] < v[c]; of
+    the C = m(m-1)/2 comparisons of m pairs, tail t sends it to the
+    comparison c' of the pairs tail_map[u[c]] and tail_map[v[c]], sorted,
+    reversed when tail_map[u[c]] > tail_map[v[c]]. So `flat[t, c']` is c,
+    plus C when reversed: an index into a's weights followed by their
+    negations. C-contiguous intp indices keep the gather fast.
     """
     pairs = tuple(all_pairs(n))
     index = {p: i for i, p in enumerate(pairs)}
     m = len(pairs)
     u, v = np.array(list(zip(*itertools.combinations(range(m), 2))), dtype=np.intp)
+    comparison = np.zeros((m, m), dtype=np.intp)
+    comparison[u, v] = np.arange(len(u))
 
     def pair_map(order):
         return [index[min(order[i], order[j]), max(order[i], order[j])] for i, j in pairs]
@@ -62,7 +73,8 @@ def _scan_tables(n):
     flat = np.empty((len(tails), len(u)), dtype=np.intp)
     for row, tail in zip(flat, tails):  # row by row: no full-size temporaries
         tail_map = np.array(pair_map(tail), dtype=np.intp)
-        row[:] = tail_map[u] * m + tail_map[v]
+        p, q = tail_map[u], tail_map[v]
+        row[comparison[np.minimum(p, q), np.maximum(p, q)]] = np.arange(len(u)) + (p > q) * len(u)
     tables = (
         u,
         v,
@@ -79,21 +91,27 @@ def _scan_tables(n):
 def d_ord(a: OrdinalSpace, b: OrdinalSpace) -> OrdDistResult:
     """Minimize disagreeing comparisons over all bijections.
 
-    Every bijection is scored, in lexicographic order, in blocks of at most
-    120 that share a head (see `_scan_tables`). With a's comparison signs
-    x and b's signs y under a bijection, both in {-1, 0, 1}, comparison c
-    agrees, [y = x], with value (y*y + x*y) / 2 if x != 0 and 1 - y*y if
-    x = 0. A bijection only permutes b's comparisons, so the sum of y*y
-    over all of them is the same for every bijection, and the count of
-    disagreements differs by a constant from the score -y.x/2 plus 3/2 the
-    sum of y*y over a's ties. So each block is one gather of y from b's
-    sign table relabelled by the head and one float32 matrix-vector
-    product, plus a sum of squares over a's ties when it has any. Scores
-    are half-integers below 600 in absolute value, as is every partial
-    sum, so float32 adds them exactly in any order. `argmin` takes the
-    first minimum of a block and only a strictly smaller score replaces
-    the incumbent, so the witness is the lexicographically smallest
-    optimum; the value is an integer recount of its disagreements.
+    Every bijection is scored at once; `_scan_tables` splits them into a
+    head and a tail. With a's comparison signs x and b's signs y under a
+    bijection, both in {-1, 0, 1}, comparison c agrees, [y = x], with
+    value (y*y + x*y) / 2 if x != 0 and 1 - y*y if x = 0. A bijection
+    only permutes b's comparisons, so the sum of y*y over all of them is
+    the same for every bijection, and twice the count of disagreements
+    differs by a constant from the score -x.y plus 3 times the sum of y*y
+    over a's ties.
+
+    Signs are antisymmetric, so a tail sends each comparison to another,
+    perhaps reversed. So b's signs are read once per head, on the C sorted
+    comparisons, and each tail's weights are one signed gather of (-x, x)
+    through `flat`. The (heads x tails) scores are one float32 matrix
+    product, plus, when a ties some comparisons, one of y*y against 3 at
+    the zero weights, computed a few heads at a time (`PRODUCT_SIZE`).
+    Every term and partial sum is an integer of absolute value at most 3C
+    (1,134 at n = 8), far below 2**24, so float32 adds them exactly in any
+    order, however BLAS splits the work. Row-major order of the scores is
+    (head, tail) order, which is lexicographic, so the first `argmin` is
+    the lexicographically smallest optimum; the value is an integer
+    recount of its disagreements.
     """
     if a.n != b.n:
         raise ValidationError("spaces must have the same cardinality")
@@ -103,25 +121,28 @@ def d_ord(a: OrdinalSpace, b: OrdinalSpace) -> OrdDistResult:
     if n < 3:  # at most one pair: no comparisons to disagree on
         return OrdDistResult(0, tuple(range(n)), ())
     pairs, (u, v, orders, heads, tails, flat) = _scan_tables(n)
-    levels_a = np.array([a.ranks[i][j] for i, j in pairs])
-    levels_b = np.array([b.ranks[i][j] for i, j in pairs])
-    x = np.sign(levels_a[u] - levels_a[v])
-    signs_b = np.sign(levels_b[:, None] - levels_b).astype(np.float32)
-    relabelled = signs_b[heads[:, :, None], heads[:, None, :]].reshape(len(heads), -1)
-    weights = (x * -0.5).astype(np.float32)
-    ties = np.flatnonzero(x == 0)
-    best_score = np.inf
-    for h, table in enumerate(relabelled):
-        y = table[flat]
-        scores = y @ weights
-        if ties.size:
-            scores += 1.5 * np.square(y[:, ties]).sum(axis=1)
-        row = scores.argmin()
-        if scores[row] < best_score:
-            best_score, best = scores[row], (h, row)
+    levels_a = np.array([a.ranks[i][j] for i, j in pairs], dtype=np.float32)
+    x = np.sign(levels_a.take(u) - levels_a.take(v))
+    levels_b = np.array([b.ranks[i][j] for i, j in pairs], dtype=np.float32)[heads]
+    y = levels_b.take(u, axis=1)  # b's signs under each head: (heads, C)
+    y -= levels_b.take(v, axis=1)
+    np.sign(y, out=y)
+    weights = np.concatenate((-x, x))[flat].T
+    ties = a.k < len(pairs)  # a ties the comparisons whose weight is 0
+    if ties:
+        tie_weights = np.float32(3) * (weights == 0)
+    scores = np.empty((len(heads), len(tails)), dtype=np.float32)
+    step = max(1, PRODUCT_SIZE // weights.size)
+    for h in range(0, len(heads), step):
+        rows, block = y[h:h + step], scores[h:h + step]
+        np.dot(rows, weights, out=block)
+        if ties:
+            np.square(rows, out=rows)
+            block += np.dot(rows, tie_weights)
+    best = divmod(int(scores.argmin()), len(tails))
     perm = tuple(orders[best[0]][tails[best[1]]].tolist())
-    levels = np.array([b.ranks[perm[i]][perm[j]] for i, j in pairs])
-    wrong = np.flatnonzero(np.sign(levels[u] - levels[v]) != x)
+    levels = np.array([b.ranks[perm[i]][perm[j]] for i, j in pairs], dtype=np.float32)
+    wrong = np.flatnonzero(np.sign(levels.take(u) - levels.take(v)) != x)
     return OrdDistResult(
         len(wrong), perm, tuple((pairs[u[c]], pairs[v[c]]) for c in wrong)
     )
@@ -130,22 +151,27 @@ def d_ord(a: OrdinalSpace, b: OrdinalSpace) -> OrdDistResult:
 def d_ord_oracle(a: OrdinalSpace, b: OrdinalSpace):
     """Brute force straight off the definition: for every bijection, count
     ordered quadruples (x,y,z,w) whose two relations differ, assert the
-    count is divisible by 8, divide. Slow; exists to check d_ord."""
+    count is divisible by 8, divide. Bijections are taken in
+    `itertools.permutations` order, in blocks of at most 120 with int8
+    signs, and the first minimum wins. Slow; exists to check d_ord."""
     if a.n != b.n:
         raise ValidationError("spaces must have the same cardinality")
     n = a.n
     if n > PERM_LIMIT:
         raise SizeLimitError("d_ord_oracle points", n, PERM_LIMIT)
-    ra = np.array(a.ranks)
-    rb = np.array(b.ranks)
+    ra = np.array(a.ranks, dtype=np.int8)
+    rb = np.array(b.ranks, dtype=np.int8)
     rel_a = np.sign(ra[:, :, None, None] - ra[None, None, :, :])
+    perms = itertools.permutations(range(n))
     best = None
-    for p in itertools.permutations(range(n)):
-        rp = rb[np.ix_(p, p)]
-        rel_b = np.sign(rp[:, :, None, None] - rp[None, None, :, :])
-        raw = int((rel_a != rel_b).sum())
-        assert raw % 8 == 0, "degenerate quadruples must never disagree"
-        value = raw // 8
+    while block := list(itertools.islice(perms, 120)):
+        p = np.array(block)
+        rp = rb[p[:, :, None], p[:, None, :]]
+        rel_b = np.sign(rp[:, :, :, None, None] - rp[:, None, None, :, :])
+        raw = (rel_a != rel_b).sum(axis=(1, 2, 3, 4))
+        assert not (raw % 8).any(), "degenerate quadruples must never disagree"
+        row = int(raw.argmin())
+        value = int(raw[row]) // 8
         if best is None or value < best[0]:
-            best = (value, p)
+            best = (value, block[row])
     return best

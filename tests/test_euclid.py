@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import collinear, load_space, random_space, space_from_values
+from conftest import collinear, load_space, random_space, relabel, space_from_values
 from ordspace import euclid
 from ordspace.census import CensusFilter, enumerate_spaces
 from ordspace.errors import ValidationError
@@ -265,6 +267,32 @@ def test_realize_simplex_certificate_pinned():
     assert cert.diag == (Fraction(9, 4), Fraction(80, 81))
     for a, b in itertools.product(range(3), repeat=2):
         assert cert.squared_distance(a, b) == cert.squared[cert.order[a]][cert.order[b]]
+
+
+@st.composite
+def relabelled_spaces(draw):
+    """A space on 2-7 points, with distinct ranks or with ties drawn from
+    a few levels, and a relabelling of its points."""
+    n = draw(st.integers(2, 7))
+    p = n * (n - 1) // 2
+    if draw(st.booleans()):
+        values = draw(st.permutations(range(p)))
+    else:
+        levels = draw(st.integers(1, p))
+        values = draw(st.lists(st.integers(1, levels), min_size=p, max_size=p))
+    return space_from_values(n, values), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(relabelled_spaces())
+def test_simplex_certificates_relabel_like_the_ranks(case):
+    s, perm = case
+    cert = realize_simplex(s).certificate
+    moved = realize_simplex(relabel(s, perm)).certificate
+    assert cert.rank == moved.rank == s.n - 1
+    assert moved.squared == tuple(
+        tuple(cert.squared[perm[i]][perm[j]] for j in range(s.n)) for i in range(s.n)
+    )
 
 
 def test_squared_matches_space_needs_positive_distances():

@@ -271,3 +271,66 @@ def test_scan_tables_stay_small():
         assert sum(t.nbytes for t in tables) < 512 * 1024
         assert all(t.dtype == np.intp and t.flags.c_contiguous for t in tables)
         assert not any(t.flags.writeable for t in tables)
+
+
+def disagreement_counts(a, b):
+    """Disagreements under every bijection, in lexicographic order, so
+    bijection k lies in head k // 120 (n >= 5) at tail k % 120."""
+    pairs = all_pairs(a.n)
+    first, second = np.array(pairs).T
+    u, v = np.array(list(itertools.combinations(range(len(pairs)), 2))).T
+    levels_a = np.array([a.ranks[i][j] for i, j in pairs])
+    x = np.sign(levels_a[u] - levels_a[v])
+    ranks_b = np.array(b.ranks)
+    perms = np.array(list(itertools.permutations(range(a.n))))
+    counts = []
+    for block in np.split(perms, range(720, len(perms), 720)):
+        levels = ranks_b[block[:, first], block[:, second]]
+        counts.append((np.sign(levels[:, u] - levels[:, v]) != x).sum(axis=1))
+    return perms, np.concatenate(counts)
+
+
+def test_tied_optima_across_heads_keep_the_first():
+    # two levels tie many bijections; the optima of each pair span several
+    # heads, and in some a later head holds an optimum at an earlier tail,
+    # so only (head, tail) order finds the lexicographically first one
+    rng = random.Random(24)
+    crossing = []
+    for n, count in ((7, 4), (8, 3)):
+        for _ in range(count):
+            a, b = random_space(rng, n, 2), random_space(rng, n, 2)
+            perms, counts = disagreement_counts(a, b)
+            optima = np.flatnonzero(counts == counts.min())
+            assert len(set(optima // 120)) > 1
+            first = optima[0]
+            crossing.append(any(k // 120 > first // 120 and k % 120 < first % 120 for k in optima))
+            r = d_ord(a, b)
+            assert r == reference_d_ord(a, b)
+            assert (r.value, r.witness) == (counts.min(), tuple(perms[first].tolist()))
+    assert sum(crossing) >= 4
+
+
+def test_all_equal_eight_points_give_the_identity():
+    # every bijection scores alike when a ties every comparison
+    flat8 = space_from_values(8, [1] * 28)
+    other = random_space(random.Random(3), 8, 4)
+    for b in (flat8, other):
+        r = d_ord(flat8, b)
+        assert r.witness == tuple(range(8))
+        assert r == reference_d_ord(flat8, b)
+    assert d_ord(flat8, flat8).value == 0
+
+
+def test_only_optima_in_the_last_head():
+    # an injective eight-point space has no symmetry, so a relabelled copy
+    # has one optimum: the inverse relabelling, here in the last head
+    s = space_from_values(8, random.Random(8).sample(range(28), 28))
+    witness = (7, 6, 5, 2, 0, 4, 1, 3)
+    inverse = tuple(witness.index(i) for i in range(8))
+    b = relabel(s, inverse)
+    perms, counts = disagreement_counts(s, b)
+    optima = np.flatnonzero(counts == 0)
+    assert len(optima) == 1 and optima[0] // 120 == len(perms) // 120 - 1
+    r = d_ord(s, b)
+    assert (r.value, r.witness) == (0, witness)
+    assert r == reference_d_ord(s, b)
