@@ -5,7 +5,8 @@ verification.
 Everything decision-grade is exact: Cayley-Menger determinants by integer
 Bareiss elimination after clearing denominators, coordinate certificates
 by a fraction-free pivoted L D L^T of the anchored Gram matrix, cleared to
-integers the same way. Its pivots alone decide positive (semi)definiteness
+integers once (realize_simplex builds the integers directly and has nothing
+to clear). Its pivots alone decide positive (semi)definiteness
 and rank, and one exact integer identity, P G P^T = L D L^T, re-verifies
 the factors; the certificate holds them as rationals, so squared distances
 recompute exactly. Square roots are taken only for display coordinates,
@@ -117,13 +118,16 @@ class ExactCertificate:
         return sum((ra[t] - rb[t]) ** 2 * D[t] for t in range(m))
 
     def float_coordinates(self, dim):
-        roots = [math.sqrt(float(v)) for v in self.diag]
+        """Display coordinates. Each factor is the correctly rounded
+        quotient of its integer numerator and denominator, as float() of a
+        Fraction is, so the floats are those of float(L) * sqrt(float(D))."""
+        roots = [math.sqrt(v.numerator / v.denominator) for v in self.diag]
         n = len(self.order)
         coords = [None] * n
         coords[self.order[0]] = (0.0,) * dim
         for i in range(1, n):
             row = self.unit_lower[i - 1]
-            xs = [float(row[t]) * roots[t] for t in range(self.rank)]
+            xs = [row[t].numerator / row[t].denominator * roots[t] for t in range(self.rank)]
             xs += [0.0] * (dim - self.rank)
             coords[self.order[i]] = tuple(xs)
         return tuple(coords)
@@ -179,16 +183,25 @@ def _cleared(squared):
 def _certificate_from_squared(squared, dim=None):
     """Exact embedding test for a rational squared-distance matrix.
 
-    Denominators are cleared by their lcm q, as in cayley_menger, so the
-    Gram matrix anchored at point 0, scaled by 2q, is an integer matrix G.
-    Its pivots decide: the points embed iff G is positive semidefinite,
+    Denominators are cleared by their lcm q, as in cayley_menger, and the
+    cleared matrix goes to _certificate_from_cleared. Returns the
+    certificate, or None when the points do not embed (in dimension dim)."""
+    return _certificate_from_cleared(squared, *_cleared(squared), dim)
+
+
+def _certificate_from_cleared(squared, q, num, dim=None):
+    """The certificate of squared = num / q, from the integer matrix num.
+
+    The Gram matrix anchored at point 0, scaled by 2q, is an integer matrix
+    G. Its pivots decide: the points embed iff G is positive semidefinite,
     in dimension rank(G). The factors are re-verified by one exact integer
     identity, P G P^T = L D L^T with the fraction-free L and D cleared by
-    the product of the pivots. Returns the certificate, or None when G is
-    not PSD (or its rank exceeds dim)."""
-    n = len(squared)
+    the product of the pivots. Any common factor of q and num scales the
+    t-th fraction-free factor by its (t+1)-th power, which cancels in L and
+    D. Returns the certificate, or None when G is not PSD (or its rank
+    exceeds dim)."""
+    n = len(num)
     m = n - 1
-    q, num = _cleared(squared)
     g = [[num[0][i] + num[0][j] - num[i][j] for j in range(1, n)] for i in range(1, n)]
     factored = _ldl_int(g)
     if factored is None:
@@ -243,25 +256,29 @@ def realize_simplex(s: OrdinalSpace) -> EuclidWitness:
     """Nondegenerate simplex in R^(n-1) realizing the rank matrix.
 
     Uses the compatible metric 1 + rank/(2k * 2^h), starting at h = 0. With
-    c = 2k * 2^h every c * distance is an integer, so 2c^2 times the
-    anchored Gram matrix is an integer matrix; the pivots of its
-    fraction-free L D L^T decide. All n-1 pivots positive means positive
-    definite, which by Sylvester's criterion is exactly Blumenthal's
-    determinant sign test; otherwise the scale is halved, and near the
-    regular simplex the test must pass, so the loop terminates long before
-    the cap. The factors are re-verified by one exact integer identity and
-    the squared distances by their order against the ranks.
+    c = 2k * 2^h the squared distances are (c + rank)^2 / c^2, so the
+    integers (c + rank)^2 over q = c^2 go straight to the factorisation, and
+    2q times the anchored Gram matrix is an integer matrix; the pivots of
+    its fraction-free L D L^T decide. Fractions are built only for the
+    certificate: the k distinct squared values, L and D. All n-1 pivots
+    positive means positive definite, which by Sylvester's criterion is
+    exactly Blumenthal's determinant sign test; otherwise the scale is
+    halved, and near the regular simplex the test must pass, so the loop
+    terminates long before the cap. The factors are re-verified by one
+    exact integer identity and the integer squares by their order against
+    the ranks. The display floats are correctly rounded integer quotients of
+    L and D, so they are bit for bit float(L) * sqrt(float(D)).
     """
-    n = s.n
+    n, k = s.n, s.k
     for h in range(SCALE_HALVINGS):
-        c = 2 * s.k << h
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, j in all_pairs(n):
-            rows[i][j] = rows[j][i] = Fraction((c + s.ranks[i][j]) ** 2, c * c)
-        squared = tuple(map(tuple, rows))
-        cert = _certificate_from_squared(squared)
+        c = 2 * k << h
+        q = c * c or 1  # one point: no distance, c = 0
+        num = [[(c + r) ** 2 if r else 0 for r in row] for row in s.ranks]
+        value = [Fraction(0)] + [Fraction((c + r) ** 2, q) for r in range(1, k + 1)]
+        squared = tuple(tuple(value[r] for r in row) for row in s.ranks)
+        cert = _certificate_from_cleared(squared, q, num)
         if cert is not None and cert.rank == n - 1:
-            if not _squared_matches_space(squared, s):
+            if not _ranks_like(s, [num[i][j] for i, j in all_pairs(n)]):
                 raise SolverError("simplex witness failed ordinal re-verification")
             return EuclidWitness(n - 1, cert.float_coordinates(n - 1), cert)
     raise SolverError(f"no positive definite scale after {SCALE_HALVINGS} halvings")

@@ -75,8 +75,16 @@ _MAX_EXPONENT = 4300
 
 
 def _parse_scalar(tok: str) -> Fraction:
+    """A decimal or p/q literal as a Fraction. ASCII digit strings and
+    ASCII p/q with digit strings on both sides are read by int(); every
+    other token goes through Fraction(str) under the exponent guard. Both
+    stay inside the try, so an overlong digit string or a zero denominator
+    is a ValidationError."""
     tok = tok.strip()
     try:
+        num, slash, den = tok.partition("/")
+        if tok.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         exp = _EXPONENT.search(tok)
         if exp and abs(int(exp[1])) > _MAX_EXPONENT:
             raise ValidationError(f"exponent of {tok!r} exceeds {_MAX_EXPONENT}")

@@ -1,14 +1,21 @@
-"""Exact two-phase simplex on a fraction-free integer tableau.
+"""Exact two-phase simplex on a condensed fraction-free integer tableau.
 
 Small dense tableau solver for the margin programs in the line embedder.
 The tableau holds integers over one common positive denominator d, so the
-rational tableau is T / d. A pivot keeps the pivot row and maps every other
-row, the objective row included, to (p * row - f * pivot_row) / d, an exact
-division, after which the pivot element p is the new denominator (Edmonds
-1967; Bareiss 1968). The pivots are the ones a Fraction tableau would make:
-Bland's rule both for the entering column and ratio ties, ratios compared by
-integer cross-products, so the iteration terminates; an iteration cap turns
-any remaining surprise into SolverError rather than a wrong answer.
+rational tableau is T / d. It is condensed: only the nonbasic columns and
+the rhs are stored, since a basic column is always d times a unit vector
+and storing it adds nothing (D. Avis, "lrs: a revised implementation of the
+reverse search vertex enumeration algorithm", 2000). A pivot on (r, e)
+keeps row r and maps every other row, the objective row included, to
+(p * row - f * row_r) / d, an exact division, after which the pivot element
+p is the new denominator (Edmonds 1967; Bareiss 1968). The leaving
+variable's column takes slot e: s in row r and -f * s / d in every other
+row, where f is that row's old entry in slot e and s = d, or -d when the
+pivot row was negated. The pivots are the ones a Fraction tableau would
+make: Bland's rule, the smallest variable index, both for the entering
+column and ratio ties, ratios compared by integer cross-products, so the
+iteration terminates; an iteration cap turns any remaining surprise into
+SolverError rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -46,36 +53,32 @@ def solve_lp(objective, constraints):
             raise ValueError("constraints must be integer rows, <= or ==, with rhs >= 0")
         rows.append((row, sense))
 
-    # columns: variables, then one slack per "<=" row, then one artificial
-    # per "==" row to start the basis
+    # variables: the given ones, then one slack per "<=" row, then one
+    # artificial per "==" row to start the basis; cols[j] is the variable
+    # in nonbasic slot j, the given ones to start with
     nslack = sum(sense == "<=" for _, sense in rows)
-    ncols = nvars + len(rows)
-    artificial = set(range(nvars + nslack, ncols))
-    slack, art = nvars, nvars + nslack
-    T, basis = [], []
-    for row, sense in rows:
-        if sense == "<=":
-            basis.append(slack)
-            slack += 1
-        else:
-            basis.append(art)
-            art += 1
-        t = row[:-1] + [0] * len(rows) + row[-1:]
-        t[basis[-1]] = 1
-        T.append(t)
+    first_art = nvars + nslack
+    basis, slack, art = [], nvars, first_art
+    for _, sense in rows:
+        basis.append(slack if sense == "<=" else art)
+        slack, art = slack + (sense == "<="), art + (sense == "==")
+    T = [row for row, _ in rows]
+    cols = list(range(nvars))
     d = 1  # the identity starting basis has determinant 1
 
-    if artificial:
-        phase1 = [0] * ncols
-        for j in artificial:
-            phase1[j] = -1
-        value, d = _run(T, basis, phase1, d, blocked=frozenset())
+    if art > first_art:
+        phase1 = [0] * first_art + [-1] * (art - first_art)
+        value, d = _run(T, basis, cols, phase1, d)
         if value is None or value < 0:
             return INFEASIBLE, None, None
-        d = _drive_out_artificials(T, basis, d, artificial)
+        d = _drive_out_artificials(T, basis, cols, d, first_art)
+        # artificial columns may never enter again, so they are dropped
+        keep = [j for j, v in enumerate(cols) if v < first_art] + [len(cols)]
+        T = [[row[j] for j in keep] for row in T]
+        cols = [cols[j] for j in keep[:-1]]
 
     cost = list(objective) + [0] * len(rows)
-    value, d = _run(T, basis, cost, d, blocked=frozenset(artificial))
+    value, d = _run(T, basis, cols, cost, d)
     if value is None:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * nvars
@@ -85,22 +88,22 @@ def solve_lp(objective, constraints):
     return OPTIMAL, x, value
 
 
-def _run(T, basis, cost, d, blocked):
+def _run(T, basis, cols, cost, d):
     """Simplex iterations for one phase on the tableau T / d; returns the
     optimal value as a Fraction (None if unbounded) and the denominator."""
-    ncols = len(cost)
-    obj = [d * c for c in cost] + [0]
+    obj = [d * cost[v] for v in cols] + [0]
     for i, row in enumerate(T):
         cb = cost[basis[i]]
         if cb:
             obj = [o - cb * v for o, v in zip(obj, row)]
 
     for _ in range(_MAX_ITERS):
+        # Bland's rule; a basic column's reduced cost is 0, so only the
+        # nonbasic ones are candidates
         entering = -1
-        for j in range(ncols):
-            if j not in blocked and obj[j] > 0:
+        for j, o in enumerate(obj[:-1]):
+            if o > 0 and (entering < 0 or cols[j] < cols[entering]):
                 entering = j
-                break
         if entering < 0:
             return Fraction(-obj[-1], d), d
         # min ratio rhs / entry over positive entries; d > 0 cancels out
@@ -117,48 +120,49 @@ def _run(T, basis, cost, d, blocked):
                     leaving = i
         if leaving < 0:
             return None, d
-        obj, d = _pivot(T, basis, obj, leaving, entering, d)
+        obj, d = _pivot(T, basis, cols, obj, leaving, entering, d)
     raise SolverError("simplex iteration cap exceeded")
 
 
-def _pivot(T, basis, obj, leaving, entering, d):
+def _pivot(T, basis, cols, obj, leaving, entering, d):
     """Fraction-free pivot; returns the updated objective row (or None) and
     the new denominator p. A negative pivot (only ever met driving out an
-    artificial) negates the pivot row first; that negates every row of the
-    result, which keeps d > 0 and the rational tableau unchanged."""
+    artificial) negates the pivot row first, and with it the leaving
+    column, s = -d; that negates every row of the result, which keeps d > 0
+    and the rational tableau unchanged."""
     prow = T[leaving]
-    p = prow[entering]
+    p, s = prow[entering], d
     if p < 0:
         T[leaving] = prow = [-v for v in prow]
-        p = -p
+        p, s = -p, -d
     for i, row in enumerate(T):
         if i != leaving:
             f = row[entering]
-            T[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            T[i] = row = [(p * v - f * w) // d for v, w in zip(row, prow)]
+            row[entering] = -f * s // d
     if obj is not None:
         f = obj[entering]
         obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
-    basis[leaving] = entering
+        obj[entering] = -f * s // d
+    prow[entering] = s
+    basis[leaving], cols[entering] = cols[entering], basis[leaving]
     return obj, p
 
 
-def _drive_out_artificials(T, basis, d, artificial):
-    """Swap basic zero-level artificials for real columns; redundant rows
-    (all-zero on real columns) are neutralized in place. Returns the new
-    denominator."""
-    ncols = len(T[0]) - 1
-    for i in range(len(T)):
-        if basis[i] not in artificial:
+def _drive_out_artificials(T, basis, cols, d, first_art):
+    """Swap basic zero-level artificials for real columns, the smallest
+    variable index first; redundant rows (all-zero on real columns) are
+    neutralized in place. Returns the new denominator."""
+    for i, row in enumerate(T):
+        if basis[i] < first_art:
             continue
         pivot_col = -1
-        for j in range(ncols):
-            if j not in artificial and T[i][j] != 0:
+        for j, v in enumerate(row[:-1]):
+            if v and cols[j] < first_art and (pivot_col < 0 or cols[j] < cols[pivot_col]):
                 pivot_col = j
-                break
         if pivot_col < 0:
             # redundant constraint; clear the row so it can never pivot
-            T[i] = [0] * (ncols + 1)
+            T[i] = [0] * len(row)
             continue
-        _, d = _pivot(T, basis, None, i, pivot_col, d)
-    # artificial columns are blocked from entering afterwards
+        _, d = _pivot(T, basis, cols, None, i, pivot_col, d)
     return d

@@ -189,8 +189,13 @@ class ComparisonList:
 
 def ordinal_type(d: DistanceMatrix) -> OrdinalSpace:
     """Rank matrix of a distance matrix: distinct values sorted ascending,
-    levels 1..k assigned in that order."""
-    return OrdinalSpace.from_values(d.n, [d.values[i][j] for i, j in all_pairs(d.n)])
+    levels 1..k assigned in that order. Integer values are ranked as ints,
+    which hash and compare faster than Fractions; others are not cleared to
+    a common denominator, whose size can grow with every distinct one."""
+    values = [d.values[i][j] for i, j in all_pairs(d.n)]
+    if all(v.denominator == 1 for v in values):
+        values = [v.numerator for v in values]
+    return OrdinalSpace.from_values(d.n, values)
 
 
 def realize(s: OrdinalSpace) -> DistanceMatrix:

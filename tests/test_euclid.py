@@ -240,14 +240,14 @@ def test_realize_simplex_rejects_a_singular_certificate(monkeypatch):
     line = tuple(tuple(Fraction((a - b) ** 2) for b in (0, 1, 3)) for a in (0, 1, 3))
     singular = _certificate_from_squared(line)
     assert singular is not None and singular.rank == 1
-    real = euclid._certificate_from_squared
+    real = euclid._certificate_from_cleared
     seen = []
 
-    def singular_first(squared, dim=None):
+    def singular_first(squared, q, num, dim=None):
         seen.append(squared)
-        return singular if len(seen) == 1 else real(squared, dim)
+        return singular if len(seen) == 1 else real(squared, q, num, dim)
 
-    monkeypatch.setattr(euclid, "_certificate_from_squared", singular_first)
+    monkeypatch.setattr(euclid, "_certificate_from_cleared", singular_first)
     s = load_space("min3.ord")
     cert = realize_simplex(s).certificate
     assert cert.rank == 2
@@ -293,6 +293,39 @@ def test_simplex_certificates_relabel_like_the_ranks(case):
     assert moved.squared == tuple(
         tuple(cert.squared[perm[i]][perm[j]] for j in range(s.n)) for i in range(s.n)
     )
+
+
+@st.composite
+def simplex_spaces(draw):
+    """A space on 1-7 points, with distinct ranks or ties from a few levels."""
+    n = draw(st.integers(1, 7))
+    p = n * (n - 1) // 2
+    if draw(st.booleans()):
+        return space_from_values(n, draw(st.permutations(range(p))))
+    levels = draw(st.integers(1, max(p, 1)))
+    return space_from_values(n, draw(st.lists(st.integers(1, levels), min_size=p, max_size=p)))
+
+
+def float_bits(coords):
+    return [[x.hex() for x in point] for point in coords]
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_spaces())
+def test_simplex_floats_are_those_of_the_certificate(s):
+    # bit for bit: the display floats are float(L) * sqrt(float(D)), as
+    # ExactCertificate gives them, and the factors recompute every square
+    w = realize_simplex(s)
+    cert = w.certificate
+    assert float_bits(w.coords) == float_bits(cert.float_coordinates(s.n - 1))
+    roots = [math.sqrt(float(v)) for v in cert.diag]
+    by_fraction = [None] * s.n
+    for i, point in enumerate(cert.order):
+        row = cert.unit_lower[i - 1] if i else (Fraction(0),) * (s.n - 1)
+        by_fraction[point] = [float(row[t]) * roots[t] for t in range(s.n - 1)]
+    assert float_bits(w.coords) == float_bits(by_fraction)
+    for a, b in itertools.product(range(s.n), repeat=2):
+        assert cert.squared_distance(a, b) == cert.squared[cert.order[a]][cert.order[b]]
 
 
 def test_squared_matches_space_needs_positive_distances():

@@ -13,6 +13,7 @@ from ordspace.balls import HasseDiagram, ball_set, hasse, hasse_isomorphic
 from ordspace.cli import main
 from ordspace.errors import ValidationError
 from ordspace.formats import (
+    _parse_scalar,
     format_comparisons,
     format_distance_csv,
     format_hasse,
@@ -171,3 +172,53 @@ def test_every_format_round_trips(s):
     assert from_comparisons(parse_comparisons(format_comparisons(to_comparisons(s)))) == s
     text = format_hasse(hasse(ball_set(s)))
     assert format_hasse(parse_hasse(text)) == text
+
+
+# token -> value, or ValidationError; the first ones are read by int(), the
+# rest by Fraction(str)
+SCALARS = [
+    ("007", Fraction(7)),
+    ("0/5", Fraction(0)),
+    (" 12 ", Fraction(12)),
+    ("12/8", Fraction(3, 2)),
+    ("3/0", ValidationError),
+    ("+1", Fraction(1)),
+    ("-1", Fraction(-1)),
+    ("1.5", Fraction(3, 2)),
+    ("1e3", Fraction(1000)),
+    ("1_000", Fraction(1000)),
+    ("٣", Fraction(3)),  # ARABIC-INDIC DIGIT THREE
+    ("²", ValidationError),  # SUPERSCRIPT TWO, a digit that int() refuses
+    ("1/2/3", ValidationError),
+    ("3/", ValidationError),
+    ("/3", ValidationError),
+]
+
+
+@pytest.mark.parametrize("tok, expected", SCALARS)
+def test_scalar_literals(tok, expected):
+    if expected is ValidationError:
+        with pytest.raises(ValidationError, match="bad numeric literal"):
+            _parse_scalar(tok)
+        with pytest.raises(ValidationError, match="bad numeric literal"):
+            parse_distance_csv(f"0,{tok}\n{tok},0\n")
+        return
+    value = _parse_scalar(tok)
+    assert value == expected and type(value) is Fraction
+    assert value == Fraction(tok)
+
+
+def test_overlong_digit_strings_are_input_errors(tmp_path):
+    # int() refuses more than 4,300 digits with a ValueError, which must
+    # reach the user as an input error, not a traceback
+    for literal in ("7" * 5000, "1/" + "3" * 5000):
+        text = f"0,{literal}\n{literal},0\n"
+        with pytest.raises(ValidationError, match="bad numeric literal"):
+            parse_distance_csv(text)
+        f = tmp_path / "long.csv"
+        f.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ordtype", str(f)])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("input error: bad numeric literal")

@@ -59,6 +59,51 @@ def test_ordinal_type_dense_ranks():
     assert s.ranks[0][1] == 1 and s.ranks[1][2] == 2 and s.ranks[0][2] == 3
 
 
+def fraction_ranks(d):
+    """Dense ranks by exact Fraction comparison, the definition."""
+    values = sorted({d.values[i][j] for i, j in all_pairs(d.n)})
+    level = {v: r for r, v in enumerate(values, 1)}
+    return tuple(
+        tuple(level[d.values[i][j]] if i != j else 0 for j in range(d.n)) for i in range(d.n)
+    )
+
+
+@st.composite
+def mixed_distances(draw):
+    """Symmetric matrices mixing integer and p/q values, ties included."""
+    n = draw(st.integers(1, 7))
+    integer = st.integers(1, 12).map(Fraction)
+    ratio = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+    values = draw(st.lists(st.one_of(integer, ratio), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in zip(all_pairs(n), values):
+        rows[i][j] = rows[j][i] = v
+    return DistanceMatrix(n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200)
+@given(mixed_distances())
+def test_ordinal_type_ranks_like_the_fractions(d):
+    assert ordinal_type(d).ranks == fraction_ranks(d)
+
+
+def test_ordinal_type_keeps_huge_denominators_apart():
+    # distinct 3,000-bit denominators: clearing all 780 values to their lcm
+    # would multiply megabit integers, so only integer values are cleared
+    rng = random.Random(26)
+    n = 40
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in all_pairs(n):
+        den = rng.getrandbits(3000) | 1 << 2999
+        rows[i][j] = rows[j][i] = Fraction(rng.randrange(den, 3 * den), den)
+    d = DistanceMatrix(n, tuple(map(tuple, rows)))
+    start = time.perf_counter()
+    s = ordinal_type(d)
+    assert time.perf_counter() - start < 5
+    assert s.ranks == fraction_ranks(d)
+
+
 def test_realize_round_trip_fixtures():
     for name in ("min3.ord", "min4.ord", "tree5_a.ord", "table6.ord", "seven_swap.ord"):
         s = load_space(name)
