@@ -5,14 +5,14 @@ member set {x : rank(c, x) <= t} for t running over the spectrum values.
 A ball is its member set alone; `balls_at` still gives each center's chain.
 One bitmask kernel, `_ball_masks`, gives the set of balls as integers whose
 bit x is point x; `ball_set` sorts it, the census's ball counts take its
-length, and `hasse` finds covers with bitsets over the balls. One point
-search, `_family_map`, decides ball-structure isomorphism.
+length; a `HasseDiagram` derives its arcs, the covers, from its sets with
+bitsets. One point search, `_family_map`, decides ball-structure isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from .errors import SizeLimitError, ValidationError
@@ -24,24 +24,40 @@ VERTEX_LIMIT = 64  # set-count guard of the ball-structure isomorphism search
 @dataclass(frozen=True)
 class HasseDiagram:
     """Covering digraph of a finite family of point sets (frozensets)
-    ordered by inclusion: arcs, strict inclusions, point child -> parent."""
+    ordered by inclusion. The family is the diagram: equality reads it
+    alone, and the arcs are derived from it."""
 
     vertices: tuple  # frozensets, deterministic order
-    arcs: tuple  # (child_index, parent_index)
 
     def __post_init__(self):
-        vertices, m = self.vertices, len(self.vertices)
-        if not all(isinstance(v, frozenset) for v in vertices):
+        if not all(isinstance(v, frozenset) for v in self.vertices):
             raise ValidationError("vertices must be frozensets of points")
-        if len(set(vertices)) != m:
+        if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertices")
-        for u, v in self.arcs:
-            if not (0 <= u < m and 0 <= v < m) or u == v:
-                raise ValidationError(f"bad arc ({u}, {v})")
-            if not vertices[u] < vertices[v]:
-                raise ValidationError(f"arc ({u}, {v}) is not a strict inclusion")
-        if len(set(self.arcs)) != len(self.arcs):
-            raise ValidationError("duplicate arcs")
+
+    @cached_property
+    def arcs(self):
+        """The covers as sorted (child_index, parent_index) pairs. With the
+        sets taken in size order, bit b of holders[x] says set b contains
+        point x, so ANDing them over a set's points gives its strict
+        supersets. The lowest one left is a cover, and taking it removes it
+        and its own supersets: a set strictly between would come first and,
+        taken or removed, would have removed it."""
+        order = sorted(range(len(self.vertices)), key=lambda i: len(self.vertices[i]))
+        sets = [self.vertices[i] for i in order]
+        holders = {}
+        for b, members in enumerate(sets):
+            for x in members:
+                holders[x] = holders.get(x, 0) | 1 << b
+        full = (1 << len(sets)) - 1
+        above = [reduce(and_, map(holders.get, m), full) & ~(1 << a) for a, m in enumerate(sets)]
+        arcs = []
+        for a, up in enumerate(above):
+            while up:
+                b = (up & -up).bit_length() - 1
+                arcs.append((order[a], order[b]))
+                up &= ~(1 << b | above[b])
+        return tuple(sorted(arcs))
 
 
 def balls_at(s: OrdinalSpace, center: int):
@@ -82,25 +98,8 @@ def ball_set(s: OrdinalSpace):
 
 
 def hasse(sets) -> HasseDiagram:
-    """Covering digraph of a family of sets under inclusion; needs the sets
-    sorted by size, as `ball_set` gives them. Bit b of holders[x]
-    says ball b contains point x, so ANDing them over a ball's points gives
-    its strict supersets. The lowest-index one left is a cover, and taking
-    it removes it and its own supersets: a ball strictly between would come
-    first and, taken or removed, would have removed it."""
-    holders = {}
-    for b, members in enumerate(sets):
-        for x in members:
-            holders[x] = holders.get(x, 0) | 1 << b
-    full = (1 << len(sets)) - 1
-    above = [reduce(and_, map(holders.get, m), full) & ~(1 << a) for a, m in enumerate(sets)]
-    arcs = []
-    for a, up in enumerate(above):
-        while up:
-            b = (up & -up).bit_length() - 1
-            arcs.append((a, b))
-            up &= ~(1 << b | above[b])
-    return HasseDiagram(tuple(sets), tuple(arcs))
+    """The covering digraph of a family of sets under inclusion."""
+    return HasseDiagram(tuple(sets))
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ def cmd_validate(args):
 def cmd_iso(args):
     a = _load_space(args.a)
     b = _load_space(args.b)
-    f = find_isomorphism(a, b)
     hi = hasse_isomorphic(hasse(ball_set(a)), hasse(ball_set(b)))
+    f = find_isomorphism(a, b)
     hword = "yes" if hi else "no"
     if f is None:
         _emit(

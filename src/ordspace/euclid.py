@@ -338,10 +338,9 @@ def nearest_class_bound(n: int) -> int:
 # heuristic embedder
 
 def _descend(s, dim, rng):
-    """Adam descent on squared hinge + tie losses over pair distances.
-    Nothing pins the centroid, so a restart can drift until float64 maps
-    every point to one value; it is abandoned (None) once the mean distance
-    reaches its floor, before rescaling by it would overflow."""
+    """Adam descent on squared hinge + tie losses over pair distances,
+    rescaled to mean distance 1 and recentred every step, so no restart
+    drifts until float64 merges its points."""
     n = s.n
     pairs = s.pairs()
     M = len(pairs)
@@ -360,8 +359,6 @@ def _descend(s, dim, rng):
         delta = x[ii] - x[jj]
         dist = np.sqrt((delta**2).sum(axis=1)) + 1e-12
         scale = dist.mean()
-        if scale <= 1e-12:
-            return None
         x /= scale
         delta /= scale
         dist /= scale
@@ -380,7 +377,7 @@ def _descend(s, dim, rng):
         mhat = mom / (1 - b1**t)
         vhat = vel / (1 - b2**t)
         x -= lr * mhat / (np.sqrt(vhat) + eps)
-    x -= x.mean(axis=0)
+        x -= x.mean(axis=0)
     return x
 
 
@@ -453,7 +450,7 @@ def embed_heuristic(
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         x = _descend(s, dim, rng)
-        means = None if x is None else _class_means(s, x)
+        means = _class_means(s, x)
         if means is None:
             continue
         witness = _witness_from_rational_coords(s, x, dim)

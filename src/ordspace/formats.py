@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .balls import HasseDiagram, hasse
+from .balls import HasseDiagram
 from .errors import ValidationError
 from .space import ComparisonList, DistanceMatrix, OrdinalSpace, Relation
 
@@ -198,13 +198,16 @@ def parse_hasse(text: str) -> HasseDiagram:
     for u, v in arcs:
         if u not in index or v not in index:
             raise ValidationError(f"arc ({u}, {v}) names an unknown vertex id")
-    h = HasseDiagram(
-        vertices=tuple(by_id[vid] for vid in order),
-        arcs=tuple((index[u], index[v]) for u, v in arcs),
-    )
-    by_size = sorted(h.vertices, key=len)
-    covers = {(by_size[u], by_size[v]) for u, v in hasse(by_size).arcs}
-    if {(h.vertices[u], h.vertices[v]) for u, v in h.arcs} != covers:
+    h = HasseDiagram(tuple(by_id[vid] for vid in order))
+    arcs = [(index[u], index[v]) for u, v in arcs]
+    for u, v in arcs:
+        if u == v:
+            raise ValidationError(f"bad arc ({u}, {v})")
+        if not h.vertices[u] < h.vertices[v]:
+            raise ValidationError(f"arc ({u}, {v}) is not a strict inclusion")
+    if len(set(arcs)) != len(arcs):
+        raise ValidationError("duplicate arcs")
+    if set(arcs) != set(h.arcs):
         raise ValidationError("arcs are not the covers of the vertex sets")
     return h
 

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from ordspace.balls import (
 )
 from ordspace.census import CensusFilter, _ball_counts, enumerate_spaces
 from ordspace.errors import SizeLimitError, ValidationError
-from ordspace.formats import hasse_dot
+from ordspace.formats import format_hasse, hasse_dot, parse_hasse
 from ordspace.space import DistanceMatrix, OrdinalSpace, is_isomorphic, ordinal_type, realize
 
 # the six-point table lists one ball chain per center; a..f are points 1..6
@@ -163,7 +164,7 @@ def test_hasse_isomorphism_finds_every_relabelled_class_diagram():
             verts = [None] * m
             for v in range(m):
                 verts[perm[v]] = frozenset(points[x] for x in a.vertices[v])
-            b = HasseDiagram(tuple(verts), tuple((perm[u], perm[v]) for u, v in a.arcs))
+            b = HasseDiagram(tuple(verts))
             f = _family_map(a.vertices, b.vertices)
             assert f is not None and sorted(f) == list(range(n))
             assert _preserves_arcs(a, b, _induced_vertex_map(a, b, f))
@@ -290,17 +291,17 @@ def chain_ball_set(s):
 
 
 def cubic_hasse(bs):
-    """Covering digraph by definition: a < b with no c strictly between."""
+    """The covers by definition, a < b with no c strictly between, as
+    sorted index pairs."""
     sets = list(bs)
     idx = range(len(sets))
     below = [[sets[a] < sets[b] for b in idx] for a in idx]
-    arcs = [
+    return tuple(
         (a, b)
         for a in idx
         for b in idx
         if below[a][b] and not any(below[a][c] and below[c][b] for c in idx)
-    ]
-    return HasseDiagram(tuple(sets), tuple(sorted(arcs)))
+    )
 
 
 @st.composite
@@ -321,8 +322,38 @@ def tied_spaces(draw):
 def test_ball_set_and_hasse_match_the_set_definitions(s):
     bs = ball_set(s)
     assert repr(bs) == repr(chain_ball_set(s))
-    assert hasse(bs) == cubic_hasse(bs)
+    assert hasse(bs).arcs == cubic_hasse(bs)
     assert len(_ball_masks(s.ranks)) == len(bs)
+
+
+def _random_families(rng, count):
+    """Families of distinct nonempty subsets of 1-6 points; a .hasse file
+    has no line for the empty set."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        subsets = [frozenset(x for x in range(n) if mask >> x & 1) for mask in range(1, 1 << n)]
+        yield rng.sample(subsets, rng.randint(1, min(len(subsets), 12)))
+
+
+def _set_pairs(h, arcs):
+    return {(h.vertices[u], h.vertices[v]) for u, v in arcs}
+
+
+def test_hasse_of_a_shuffled_family_has_exactly_the_covers():
+    # in this order the lowest-index superset of {x1} is {x1,x2,x3}, no cover
+    families = [[frozenset(m) for m in ({0, 1, 2}, {0}, {0, 1}, {1}, {2})]]
+    families += [list(ball_set(s)) for n in range(1, 5) for s in enumerate_spaces(n, CensusFilter.ALL)]
+    rng = random.Random(27)
+    families += list(_random_families(rng, 400))
+    for family in families:
+        rng.shuffle(family)
+        h = hasse(family)
+        covers = _set_pairs(h, cubic_hasse(h.vertices))
+        assert _set_pairs(h, h.arcs) == covers
+        text = format_hasse(h)
+        back = parse_hasse(text)
+        assert back == hasse(sorted(family, key=lambda v: (len(v), sorted(v))))
+        assert _set_pairs(back, back.arcs) == covers and format_hasse(back) == text
 
 
 def test_ball_counts_match_ball_set_on_census_classes():
@@ -356,7 +387,9 @@ def test_balls_and_hasse_commands_match_the_set_definitions(monkeypatch):
     ]
     got = [_cli_output(*args) for args in runs]
     monkeypatch.setattr(cli, "ball_set", chain_ball_set)
-    monkeypatch.setattr(cli, "hasse", cubic_hasse)
+    monkeypatch.setattr(
+        cli, "hasse", lambda bs: SimpleNamespace(vertices=tuple(bs), arcs=cubic_hasse(bs))
+    )
     assert got == [_cli_output(*args) for args in runs]
 
 

@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from conftest import FIXTURES, collinear, random_space, space_from_values
-from ordspace import __version__
+from ordspace import __version__, cli
 from ordspace.cli import build_parser, main
 from ordspace.formats import format_rank_matrix, parse_rank_matrix
 from ordspace.space import find_isomorphism
@@ -249,8 +249,8 @@ def test_embednd_inconclusive():
 
 @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (2, 2), (3, 1)])
 def test_embednd_abandons_a_drifting_restart_quietly(dim, seed):
-    # one restart of each run drifts until float64 merges its points; it is
-    # dropped before its rescaling overflows, so numpy has nothing to warn of
+    # the descent recentres every step, so no restart drifts until float64
+    # merges its points, and numpy has nothing to warn of
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run("embednd", fx("allequal5.ord"), "--dim", dim, "--seed", seed)
@@ -320,6 +320,23 @@ def test_iso_past_the_hasse_vertex_guard_exits_3(tmp_path):
         files.append(f)
     code, out, err = run("iso", *files)
     assert code == 3 and out == ""
+    assert err == "guard exceeded: hasse isomorphism: size 82 exceeds guard limit 64\n"
+
+
+def test_iso_checks_the_hasse_guard_before_the_point_search(tmp_path, monkeypatch):
+    rng = random.Random(10)
+    files = []
+    for name in ("a.ord", "b.ord"):
+        f = tmp_path / name
+        f.write_text(format_rank_matrix(random_space(rng, 10)))
+        files.append(f)
+
+    def no_search(a, b):
+        raise AssertionError("the point search ran before the Hasse guard")
+
+    monkeypatch.setattr(cli, "find_isomorphism", no_search)
+    code, out, err = run("iso", *files)
+    assert (code, out) == (3, "")
     assert err == "guard exceeded: hasse isomorphism: size 82 exceeds guard limit 64\n"
 
 

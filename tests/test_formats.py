@@ -127,7 +127,7 @@ PARSE_ERRORS = [
     (parse_hasse, "hasse 1\nv x : 1\n", "bad vertex line", None),
     (parse_hasse, "hasse 1\nv 1 : 1\na 1\n", "expected 'a CHILD PARENT'", None),
     (parse_hasse, "hasse 1\nv 1 : 1\na 1 x\n", "bad arc line", None),
-    # well-formed files that HasseDiagram itself rejects
+    # well-formed files whose sets or arcs are refused
     (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1\n", "duplicate vertices", None),
     (parse_hasse, "hasse 1\nv 1 : 1\na 1 1\n", r"bad arc \(0, 0\)", None),
     (parse_hasse, "hasse 2\nv 1 : 1\nv 2 : 1 2\na 1 2\na 1 2\n", "duplicate arcs", None),
@@ -152,7 +152,7 @@ def test_parse_errors_are_validation_errors(tmp_path):
             assert code == 2 and out.getvalue() == "", text
             assert err.getvalue().startswith("input error") and message in err.getvalue(), text
     with pytest.raises(ValidationError, match="vertices must be frozensets of points"):
-        HasseDiagram((1, 2), ((0, 1),))
+        HasseDiagram((1, 2))
 
 
 @st.composite
