@@ -22,7 +22,6 @@ only for the two ball-extreme witnesses.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -162,27 +161,23 @@ def burnside_count(n: int, filt: CensusFilter = CensusFilter.ALL) -> int:
     Fubini(#cycles) surjections-onto-initial-segments; injective
     assignments are only fixed by the identity pair permutation.
     """
-    if n == 1:
-        return 1
-    pairs = all_pairs(n)
-    idx = {p: t for t, p in enumerate(pairs)}
+    p = n * (n - 1) // 2
     total = 0
-    for g in itertools.permutations(range(n)):
-        cols = [idx[tuple(sorted((g[a], g[b])))] for a, b in pairs]
-        seen = [False] * len(pairs)
+    for pg in _pair_perms(n):
+        seen = [False] * p
         cycles = 0
-        for start in range(len(pairs)):
+        for start in range(p):
             if seen[start]:
                 continue
             cycles += 1
             t = start
             while not seen[t]:
                 seen[t] = True
-                t = cols[t]
+                t = pg[t]
         if filt is CensusFilter.ALL:
             total += fubini(cycles)
-        elif cycles == len(pairs):
-            total += math.factorial(len(pairs))
+        elif cycles == p:
+            total += math.factorial(p)
     return total // math.factorial(n)
 
 

@@ -238,7 +238,7 @@ def cmd_hasse(args):
         args,
         {
             "vertices": [sorted(p + 1 for p in v) for v in h.vertices],
-            "arcs": [list(a) for a in h.arcs],
+            "arcs": [[u + 1, v + 1] for u, v in h.arcs],
         },
         format_hasse(h).rstrip("\n").splitlines(),
     )

@@ -170,7 +170,7 @@ def parse_hasse(text: str) -> HasseDiagram:
     for line in lines[1:]:
         toks = line.split()
         if toks[0] == "v":
-            if len(toks) < 4 or toks[2] != ":":
+            if len(toks) < 3 or toks[2] != ":":
                 raise ValidationError(f"expected 'v ID : members', got {line!r}")
             try:
                 vid = int(toks[1])

@@ -253,21 +253,26 @@ def _margin_lp(s, ordering):
     groups = [by_rank[r] for r in sorted(by_rank)]
     reps = [gaps_of(*group[0]) for group in groups]
 
-    # t - gap <= 0 for each gap; pairs of one rank equally long;
-    # t - (rank above - rank below) <= 0; the gaps sum to 1
-    constraints = [([-v for v in gaps_of(g, g + 1)] + [1], "<=", 0) for g in range(m)]
+    # <= rows only: t - (lowest rank) <= 0; pairs of one rank equally long,
+    # as two opposite rows; t - (rank above - rank below) <= 0; the gaps sum
+    # to at most 1. A gap is a pair of some rank r, so it is at least r * t
+    # long and needs no row of its own. All rows but the last are
+    # homogeneous, so an optimum with t > 0 has gaps summing to exactly 1,
+    # or scaling would raise t.
+    constraints = [([-v for v in reps[0]] + [1], 0)]
     for rep, group in zip(reps, groups):
         for other in group[1:]:
-            constraints.append(([a - b for a, b in zip(gaps_of(*other), rep)] + [0], "==", 0))
+            tie = [a - b for a, b in zip(gaps_of(*other), rep)] + [0]
+            constraints += [(tie, 0), ([-v for v in tie], 0)]
     for lo, hi in zip(reps, reps[1:]):
-        constraints.append(([a - b for a, b in zip(lo, hi)] + [1], "<=", 0))
-    constraints.append(([1] * m + [0], "==", 1))
+        constraints.append(([a - b for a, b in zip(lo, hi)] + [1], 0))
+    constraints.append(([1] * m + [0], 1))
 
     objective = [0] * m + [1]
     status, x, value = simplex.solve_lp(objective, constraints)
     if status == simplex.UNBOUNDED:
         raise SolverError("margin LP unbounded; constraint assembly is broken")
-    if status != simplex.OPTIMAL or value <= 0:
+    if value <= 0:
         return None
     witness = LineWitness(tuple(ordering), tuple(x[:m]), x[m])
     at = dict(zip(ordering, witness.coordinates()))

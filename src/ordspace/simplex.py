@@ -1,21 +1,19 @@
-"""Exact two-phase simplex on a condensed fraction-free integer tableau.
+"""Exact one-phase simplex on a condensed fraction-free integer tableau.
 
-Small dense tableau solver for the margin programs in the line embedder.
-The tableau holds integers over one common positive denominator d, so the
-rational tableau is T / d. It is condensed: only the nonbasic columns and
-the rhs are stored, since a basic column is always d times a unit vector
-and storing it adds nothing (D. Avis, "lrs: a revised implementation of the
-reverse search vertex enumeration algorithm", 2000). A pivot on (r, e)
-keeps row r and maps every other row, the objective row included, to
-(p * row - f * row_r) / d, an exact division, after which the pivot element
-p is the new denominator (Edmonds 1967; Bareiss 1968). The leaving
-variable's column takes slot e: s in row r and -f * s / d in every other
-row, where f is that row's old entry in slot e and s = d, or -d when the
-pivot row was negated. The pivots are the ones a Fraction tableau would
-make: Bland's rule, the smallest variable index, both for the entering
-column and ratio ties, ratios compared by integer cross-products, so the
-iteration terminates; an iteration cap turns any remaining surprise into
-SolverError rather than a wrong answer.
+Small dense solver for the line embedder's margin program. Every row is
+coeffs . x <= rhs with integers and rhs >= 0, so the slack basis at x = 0
+starts the simplex and there is no phase 1. The tableau T holds integers
+over one positive denominator d, and stores only the nonbasic columns and
+the rhs, since a basic column is d times a unit vector (D. Avis, "lrs",
+2000); its last row is the objective. A pivot on (r, e) keeps row r and
+maps every other row to (p * row - f * row_r) / d, an exact division; the
+pivot element p > 0 is the new denominator (Edmonds 1967; Bareiss 1968),
+and the leaving variable's column takes slot e: d in row r, -f elsewhere.
+At the optimum the objective row holds -d times each row's dual weight in
+that row's slack column (V. Chvatal, Linear Programming, 1983, ch. 5).
+Pivots follow Bland's rule, the smallest variable index for the entering
+column and for ratio ties, with ratios compared by integer cross-products,
+so the iteration terminates; a cap turns any surprise into SolverError.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from fractions import Fraction
 from .errors import SolverError
 
 OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 _MAX_ITERS = 20000
@@ -35,134 +32,64 @@ def solve_lp(objective, constraints):
     """Maximize objective . x over x >= 0 subject to constraints.
 
     objective: list of ints, one per variable.
-    constraints: list of (coeffs, sense, rhs) with integer coeffs, sense
-    "<=" or "==", and an integer rhs >= 0, so every "<=" slack starts the
-    basis; any other row raises ValueError.
-    Returns (status, x, value); x is a list of Fractions and value a
-    Fraction, both None unless OPTIMAL.
+    constraints: list of (coeffs, rhs), each the row coeffs . x <= rhs with
+    integer coeffs and an integer rhs >= 0; any other row raises ValueError.
+    x = 0 is feasible, so the status is OPTIMAL or UNBOUNDED. Returns
+    (status, x, value); x is a list of Fractions and value a Fraction,
+    both None unless OPTIMAL.
     """
     nvars = len(objective)
     if any(type(c) is not int for c in objective):
         raise ValueError("objective coefficients must be integers")
-    rows = []
-    for coeffs, sense, rhs in constraints:
+    T = []
+    for coeffs, rhs in constraints:
         row = [*coeffs, rhs]
         if len(row) != nvars + 1:
             raise ValueError("constraint width does not match objective")
-        if sense not in ("<=", "==") or any(type(v) is not int for v in row) or rhs < 0:
-            raise ValueError("constraints must be integer rows, <= or ==, with rhs >= 0")
-        rows.append((row, sense))
+        if any(type(v) is not int for v in row) or rhs < 0:
+            raise ValueError("constraints must be integer <= rows with rhs >= 0")
+        T.append(row)
 
-    # variables: the given ones, then one slack per "<=" row, then one
-    # artificial per "==" row to start the basis; cols[j] is the variable
-    # in nonbasic slot j, the given ones to start with
-    nslack = sum(sense == "<=" for _, sense in rows)
-    first_art = nvars + nslack
-    basis, slack, art = [], nvars, first_art
-    for _, sense in rows:
-        basis.append(slack if sense == "<=" else art)
-        slack, art = slack + (sense == "<="), art + (sense == "==")
-    T = [row for row, _ in rows]
+    # variables: the given ones, then one slack per row; cols[j] is the
+    # variable in nonbasic slot j. The slack basis is the identity, so d = 1
+    # and the objective row is the objective itself.
+    basis = list(range(nvars, nvars + len(T)))
     cols = list(range(nvars))
-    d = 1  # the identity starting basis has determinant 1
-
-    if art > first_art:
-        phase1 = [0] * first_art + [-1] * (art - first_art)
-        value, d = _run(T, basis, cols, phase1, d)
-        if value is None or value < 0:
-            return INFEASIBLE, None, None
-        d = _drive_out_artificials(T, basis, cols, d, first_art)
-        # artificial columns may never enter again, so they are dropped
-        keep = [j for j, v in enumerate(cols) if v < first_art] + [len(cols)]
-        T = [[row[j] for j in keep] for row in T]
-        cols = [cols[j] for j in keep[:-1]]
-
-    cost = list(objective) + [0] * len(rows)
-    value, d = _run(T, basis, cols, cost, d)
-    if value is None:
-        return UNBOUNDED, None, None
-    x = [Fraction(0)] * nvars
-    for i, bi in enumerate(basis):
-        if bi < nvars:
-            x[bi] = Fraction(T[i][-1], d)
-    return OPTIMAL, x, value
-
-
-def _run(T, basis, cols, cost, d):
-    """Simplex iterations for one phase on the tableau T / d; returns the
-    optimal value as a Fraction (None if unbounded) and the denominator."""
-    obj = [d * cost[v] for v in cols] + [0]
-    for i, row in enumerate(T):
-        cb = cost[basis[i]]
-        if cb:
-            obj = [o - cb * v for o, v in zip(obj, row)]
-
+    T.append([*objective, 0])
+    d = 1
     for _ in range(_MAX_ITERS):
         # Bland's rule; a basic column's reduced cost is 0, so only the
         # nonbasic ones are candidates
-        entering = -1
-        for j, o in enumerate(obj[:-1]):
-            if o > 0 and (entering < 0 or cols[j] < cols[entering]):
-                entering = j
-        if entering < 0:
-            return Fraction(-obj[-1], d), d
+        candidates = [j for j, o in enumerate(T[-1][:-1]) if o > 0]
+        if not candidates:
+            at = dict(zip(basis, T))
+            x = [Fraction(at[v][-1], d) if v in at else Fraction(0) for v in range(nvars)]
+            return OPTIMAL, x, Fraction(-T[-1][-1], d)
+        entering = min(candidates, key=cols.__getitem__)
         # min ratio rhs / entry over positive entries; d > 0 cancels out
         leaving = -1
-        for i, row in enumerate(T):
-            a = row[entering]
-            if a > 0:
-                if leaving < 0:
-                    leaving = i
-                    continue
-                here = row[-1] * T[leaving][entering]
-                best = T[leaving][-1] * a
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving = i
+        for i, bi in enumerate(basis):
+            a = T[i][entering]
+            if a > 0 and (leaving < 0 or (T[i][-1] * T[leaving][entering], bi)
+                          < (T[leaving][-1] * a, basis[leaving])):
+                leaving = i
         if leaving < 0:
-            return None, d
-        obj, d = _pivot(T, basis, cols, obj, leaving, entering, d)
+            return UNBOUNDED, None, None
+        d = _pivot(T, basis, cols, leaving, entering, d)
     raise SolverError("simplex iteration cap exceeded")
 
 
-def _pivot(T, basis, cols, obj, leaving, entering, d):
-    """Fraction-free pivot; returns the updated objective row (or None) and
-    the new denominator p. A negative pivot (only ever met driving out an
-    artificial) negates the pivot row first, and with it the leaving
-    column, s = -d; that negates every row of the result, which keeps d > 0
-    and the rational tableau unchanged."""
+def _pivot(T, basis, cols, leaving, entering, d):
+    """Fraction-free pivot on the positive entry T[leaving][entering] of
+    the tableau T / d, every row of T included; returns the new
+    denominator."""
     prow = T[leaving]
-    p, s = prow[entering], d
-    if p < 0:
-        T[leaving] = prow = [-v for v in prow]
-        p, s = -p, -d
+    p = prow[entering]
     for i, row in enumerate(T):
         if i != leaving:
             f = row[entering]
             T[i] = row = [(p * v - f * w) // d for v, w in zip(row, prow)]
-            row[entering] = -f * s // d
-    if obj is not None:
-        f = obj[entering]
-        obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
-        obj[entering] = -f * s // d
-    prow[entering] = s
+            row[entering] = -f
+    prow[entering] = d
     basis[leaving], cols[entering] = cols[entering], basis[leaving]
-    return obj, p
-
-
-def _drive_out_artificials(T, basis, cols, d, first_art):
-    """Swap basic zero-level artificials for real columns, the smallest
-    variable index first; redundant rows (all-zero on real columns) are
-    neutralized in place. Returns the new denominator."""
-    for i, row in enumerate(T):
-        if basis[i] < first_art:
-            continue
-        pivot_col = -1
-        for j, v in enumerate(row[:-1]):
-            if v and cols[j] < first_art and (pivot_col < 0 or cols[j] < cols[pivot_col]):
-                pivot_col = j
-        if pivot_col < 0:
-            # redundant constraint; clear the row so it can never pivot
-            T[i] = [0] * len(row)
-            continue
-        _, d = _pivot(T, basis, cols, None, i, pivot_col, d)
-    return d
+    return p

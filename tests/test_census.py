@@ -210,8 +210,24 @@ def test_census_classes_pairwise_nonisomorphic_n3():
         assert canonical_form(relabel(s, (2, 0, 1))) == s
 
 
-def test_census_import_loads_no_numpy():
-    # numpy alone adds about 12 MB to a census run's peak memory
-    code = "import sys, ordspace.census; assert 'numpy' not in sys.modules"
+EVERY_MODULE = (
+    "import importlib, pkgutil, ordspace\n"
+    "for m in pkgutil.iter_modules(ordspace.__path__):\n"
+    "    importlib.import_module('ordspace.' + m.name)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "imports, unwanted",
+    [
+        # numpy alone adds about 12 MB to a census run's peak memory
+        ("import ordspace.census\n", ("numpy",)),
+        # tempting for experiments, but not dependencies
+        (EVERY_MODULE, ("scipy", "networkx")),
+    ],
+    ids=["census-numpy", "every-module-scipy-networkx"],
+)
+def test_import_loads_no_unwanted_module(imports, unwanted):
+    code = f"import sys\n{imports}loaded = [m for m in {unwanted!r} if m in sys.modules]\nassert not loaded, loaded\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

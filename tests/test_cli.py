@@ -132,6 +132,21 @@ def test_hasse_dot_refuses_json():
     assert err.startswith("input error:") and "--dot" in err and "--format json" in err
 
 
+def test_hasse_json_uses_the_vertex_ids_of_the_text():
+    # vertex i of the JSON list is the text's `v i`, and an arc [u, v] its `a u v`
+    code, out, _ = run("hasse", fx("min3.ord"), "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["arcs"] == [[1, 4], [2, 4], [2, 5], [3, 5], [4, 6], [5, 6]]
+    code, out, _ = run("hasse", fx("min3.ord"))
+    assert code == 0
+    text = out.splitlines()[1:]
+    assert [line for line in text if line.startswith("v ")] == [
+        f"v {i} : " + " ".join(map(str, v)) for i, v in enumerate(data["vertices"], start=1)
+    ]
+    assert [line for line in text if line.startswith("a ")] == [f"a {u} {v}" for u, v in data["arcs"]]
+
+
 def test_hasse_text_round_trips(tmp_path):
     code, out, _ = run("hasse", fx("min4.ord"))
     assert code == 0

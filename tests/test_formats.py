@@ -84,8 +84,10 @@ def test_comparisons_errors():
 
 
 def test_hasse_round_trip():
-    for name in ("min3.ord", "min4.ord", "tree5_a.ord"):
-        h = hasse(ball_set(load_space(name)))
+    diagrams = [hasse(ball_set(load_space(name))) for name in ("min3.ord", "min4.ord", "tree5_a.ord")]
+    # a vertex with no members is a line with none after the colon
+    diagrams.append(hasse([frozenset(), frozenset({0})]))
+    for h in diagrams:
         text = format_hasse(h)
         back = parse_hasse(text)
         assert hasse_isomorphic(back, h)

@@ -309,6 +309,8 @@ def test_collinear_points_embed_in_their_order(xs):
     # a false "infeasible" from the LP would slip past witness re-verification
     w = embed_line(collinear(*xs))
     assert w is not None
+    # the LP only bounds the gaps' sum by 1; a positive margin reaches it
+    assert sum(w.gaps) == 1 and w.margin > 0
     order = tuple(sorted(range(len(xs)), key=xs.__getitem__))
     assert w.ordering in (order, order[::-1])
 

@@ -13,25 +13,21 @@ from conftest import FIXTURES, collinear
 from ordspace import line, simplex
 from ordspace.errors import SizeLimitError, SolverError
 from ordspace.formats import parse_comparisons, parse_distance_csv, parse_rank_matrix
-from ordspace.simplex import _MAX_ITERS, INFEASIBLE, OPTIMAL, UNBOUNDED
+from ordspace.simplex import _MAX_ITERS, OPTIMAL, UNBOUNDED
 from ordspace.space import from_comparisons, ordinal_type
 
 
 def check_feasible(x, constraints):
     assert all(v >= 0 for v in x)
-    for coeffs, sense, rhs in constraints:
-        lhs = sum(c * v for c, v in zip(coeffs, x))
-        if sense == "<=":
-            assert lhs <= rhs
-        else:
-            assert lhs == rhs
+    for coeffs, rhs in constraints:
+        assert sum(c * v for c, v in zip(coeffs, x)) <= rhs
 
 
 def test_known_optimum():
     objective = [3, 2]
     constraints = [
-        ([1, 1], "<=", 4),
-        ([1, 0], "<=", 2),
+        ([1, 1], 4),
+        ([1, 0], 2),
     ]
     status, x, value = simplex.solve_lp(objective, constraints)
     assert status == simplex.OPTIMAL
@@ -40,41 +36,20 @@ def test_known_optimum():
     check_feasible(x, constraints)
 
 
-def test_infeasible():
-    status, x, value = simplex.solve_lp([1], [([1], "<=", 1), ([1], "==", 2)])
-    assert status == simplex.INFEASIBLE
-    assert x is None and value is None
-
-
 def test_unbounded():
-    status, x, value = simplex.solve_lp([1], [([-1], "<=", 0)])
+    status, x, value = simplex.solve_lp([1], [([-1], 0)])
     assert status == simplex.UNBOUNDED
     assert x is None and value is None
 
 
-def test_equality_and_negative_rhs():
-    # -x1 >= -2 is refused; the caller writes it as x1 <= 2
-    objective = [1, 0]
-    with pytest.raises(ValueError):
-        simplex.solve_lp(objective, [([1, 1], "==", 3), ([-1, 0], ">=", -2)])
-    constraints = [
-        ([1, 1], "==", 3),
-        ([1, 0], "<=", 2),
-    ]
-    status, x, value = simplex.solve_lp(objective, constraints)
-    assert status == simplex.OPTIMAL
-    assert value == 2
-    check_feasible(x, constraints)
-
-
 def test_margin_program_shape():
-    # maximize t with t - g1 <= 0, t - g2 <= 0, t - (g2 - g1) <= 0, g1 + g2 == 1
+    # maximize t with t - g1 <= 0, t - g2 <= 0, t - (g2 - g1) <= 0, g1 + g2 <= 1
     objective = [0, 0, 1]
     constraints = [
-        ([-1, 0, 1], "<=", 0),
-        ([0, -1, 1], "<=", 0),
-        ([1, -1, 1], "<=", 0),
-        ([1, 1, 0], "==", 1),
+        ([-1, 0, 1], 0),
+        ([0, -1, 1], 0),
+        ([1, -1, 1], 0),
+        ([1, 1, 0], 1),
     ]
     status, x, value = simplex.solve_lp(objective, constraints)
     assert status == simplex.OPTIMAL
@@ -87,9 +62,9 @@ def test_beale_cycling_example_terminates():
     # the objective and the first two rows scaled by 100 to integers
     objective = [75, -15000, 2, -600]
     constraints = [
-        ([25, -6000, -4, 900], "<=", 0),
-        ([50, -9000, -2, 300], "<=", 0),
-        ([0, 0, 1, 0], "<=", 1),
+        ([25, -6000, -4, 900], 0),
+        ([50, -9000, -2, 300], 0),
+        ([0, 0, 1, 0], 1),
     ]
     status, x, value = simplex.solve_lp(objective, constraints)
     assert status == simplex.OPTIMAL
@@ -100,7 +75,7 @@ def test_beale_cycling_example_terminates():
 
 def test_exact_rationals_survive():
     # a fractional optimum from integer rows
-    status, x, value = simplex.solve_lp([2], [([3], "<=", 1)])
+    status, x, value = simplex.solve_lp([2], [([3], 1)])
     assert status == simplex.OPTIMAL
     assert x == [Fraction(1, 3)]
     assert value == Fraction(2, 3)
@@ -108,16 +83,17 @@ def test_exact_rationals_survive():
 
 def test_width_mismatch_rejected():
     with pytest.raises(ValueError):
-        simplex.solve_lp([1], [([1, 2], "<=", 1)])
+        simplex.solve_lp([1], [([1, 2], 1)])
 
 
 @pytest.mark.parametrize(
     "objective, row",
     [
-        ([1], ([1], ">=", 0)),
-        ([1], ([Fraction(1, 2)], "<=", 1)),
-        ([1], ([1], "<=", -1)),
-        ([Fraction(1)], ([1], "<=", 1)),
+        # a (coeffs, sense, rhs) triple is not a row
+        ([1], ([1], "<=", 0)),
+        ([1], ([Fraction(1, 2)], 1)),
+        ([1], ([1], -1)),
+        ([Fraction(1)], ([1], 1)),
     ],
 )
 def test_unsupported_rows_rejected(objective, row):
@@ -126,16 +102,15 @@ def test_unsupported_rows_rejected(objective, row):
 
 
 # ---------------------------------------------------------------------------
-# the full-tableau solver, verbatim but for its name: every column is stored,
-# basic ones included, and artificial columns stay, blocked, in phase 2
+# the full-tableau solver, kept as the reference: every column is stored,
+# basic ones included
 
 def reference_solve_lp(objective, constraints):
     """Maximize objective . x over x >= 0 subject to constraints.
 
     objective: list of ints, one per variable.
-    constraints: list of (coeffs, sense, rhs) with integer coeffs, sense
-    "<=" or "==", and an integer rhs >= 0, so every "<=" slack starts the
-    basis; any other row raises ValueError.
+    constraints: list of (coeffs, rhs), each the row coeffs . x <= rhs with
+    integer coeffs and an integer rhs >= 0; any other row raises ValueError.
     Returns (status, x, value); x is a list of Fractions and value a
     Fraction, both None unless OPTIMAL.
     """
@@ -143,44 +118,25 @@ def reference_solve_lp(objective, constraints):
     if any(type(c) is not int for c in objective):
         raise ValueError("objective coefficients must be integers")
     rows = []
-    for coeffs, sense, rhs in constraints:
+    for coeffs, rhs in constraints:
         row = [*coeffs, rhs]
         if len(row) != nvars + 1:
             raise ValueError("constraint width does not match objective")
-        if sense not in ("<=", "==") or any(type(v) is not int for v in row) or rhs < 0:
-            raise ValueError("constraints must be integer rows, <= or ==, with rhs >= 0")
-        rows.append((row, sense))
+        if any(type(v) is not int for v in row) or rhs < 0:
+            raise ValueError("constraints must be integer <= rows with rhs >= 0")
+        rows.append(row)
 
-    # columns: variables, then one slack per "<=" row, then one artificial
-    # per "==" row to start the basis
-    nslack = sum(sense == "<=" for _, sense in rows)
-    ncols = nvars + len(rows)
-    artificial = set(range(nvars + nslack, ncols))
-    slack, art = nvars, nvars + nslack
+    # columns: variables, then one slack per row, which starts the basis
     T, basis = [], []
-    for row, sense in rows:
-        if sense == "<=":
-            basis.append(slack)
-            slack += 1
-        else:
-            basis.append(art)
-            art += 1
+    for i, row in enumerate(rows):
+        basis.append(nvars + i)
         t = row[:-1] + [0] * len(rows) + row[-1:]
         t[basis[-1]] = 1
         T.append(t)
     d = 1  # the identity starting basis has determinant 1
 
-    if artificial:
-        phase1 = [0] * ncols
-        for j in artificial:
-            phase1[j] = -1
-        value, d = _run(T, basis, phase1, d, blocked=frozenset())
-        if value is None or value < 0:
-            return INFEASIBLE, None, None
-        d = _drive_out_artificials(T, basis, d, artificial)
-
     cost = list(objective) + [0] * len(rows)
-    value, d = _run(T, basis, cost, d, blocked=frozenset(artificial))
+    value, d = _run(T, basis, cost, d)
     if value is None:
         return UNBOUNDED, None, None
     x = [Fraction(0)] * nvars
@@ -190,9 +146,9 @@ def reference_solve_lp(objective, constraints):
     return OPTIMAL, x, value
 
 
-def _run(T, basis, cost, d, blocked):
-    """Simplex iterations for one phase on the tableau T / d; returns the
-    optimal value as a Fraction (None if unbounded) and the denominator."""
+def _run(T, basis, cost, d):
+    """Simplex iterations on the tableau T / d; returns the optimal value
+    as a Fraction (None if unbounded) and the denominator."""
     ncols = len(cost)
     obj = [d * c for c in cost] + [0]
     for i, row in enumerate(T):
@@ -203,7 +159,7 @@ def _run(T, basis, cost, d, blocked):
     for _ in range(_MAX_ITERS):
         entering = -1
         for j in range(ncols):
-            if j not in blocked and obj[j] > 0:
+            if obj[j] > 0:
                 entering = j
                 break
         if entering < 0:
@@ -227,15 +183,10 @@ def _run(T, basis, cost, d, blocked):
 
 
 def _pivot(T, basis, obj, leaving, entering, d):
-    """Fraction-free pivot; returns the updated objective row (or None) and
-    the new denominator p. A negative pivot (only ever met driving out an
-    artificial) negates the pivot row first; that negates every row of the
-    result, which keeps d > 0 and the rational tableau unchanged."""
+    """Fraction-free pivot on a positive entry; returns the updated
+    objective row (or None) and the new denominator p."""
     prow = T[leaving]
     p = prow[entering]
-    if p < 0:
-        T[leaving] = prow = [-v for v in prow]
-        p = -p
     for i, row in enumerate(T):
         if i != leaving:
             f = row[entering]
@@ -245,28 +196,6 @@ def _pivot(T, basis, obj, leaving, entering, d):
         obj = [(p * v - f * w) // d for v, w in zip(obj, prow)]
     basis[leaving] = entering
     return obj, p
-
-
-def _drive_out_artificials(T, basis, d, artificial):
-    """Swap basic zero-level artificials for real columns; redundant rows
-    (all-zero on real columns) are neutralized in place. Returns the new
-    denominator."""
-    ncols = len(T[0]) - 1
-    for i in range(len(T)):
-        if basis[i] not in artificial:
-            continue
-        pivot_col = -1
-        for j in range(ncols):
-            if j not in artificial and T[i][j] != 0:
-                pivot_col = j
-                break
-        if pivot_col < 0:
-            # redundant constraint; clear the row so it can never pivot
-            T[i] = [0] * (ncols + 1)
-            continue
-        _, d = _pivot(T, basis, None, i, pivot_col, d)
-    # artificial columns are blocked from entering afterwards
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +213,21 @@ coefficient = st.integers(-3, 3)
 
 @st.composite
 def integer_lps(draw):
-    """Random integer LPs in solve_lp's form, rich in degenerate rows: "=="
-    rows with rhs 0, and copies of earlier rows, scaled, so that phase 1
-    leaves redundant equalities behind."""
+    """Random integer LPs in solve_lp's form, rich in degenerate rows: rows
+    with rhs 0, scaled copies of earlier rows, and opposite copies of rhs 0
+    rows, which together hold an equality as the margin program's ties do."""
     n = draw(st.integers(1, 4))
     row = st.tuples(
         st.lists(coefficient, min_size=n, max_size=n),
-        st.sampled_from(["<=", "==", "=="]),
         st.sampled_from([0, 0, 1, 2, 5]),
     )
     rows = draw(st.lists(row, max_size=5))
-    copies = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=2))
+    copies = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 3)), max_size=2))
     for index, factor in copies:
         if rows:
-            coeffs, _, rhs = rows[index % len(rows)]
-            rows.append(([factor * c for c in coeffs], "==", factor * rhs))
+            coeffs, rhs = rows[index % len(rows)]
+            if factor and (factor > 0 or rhs == 0):
+                rows.append(([factor * c for c in coeffs], factor * rhs))
     return draw(st.lists(coefficient, min_size=n, max_size=n)), rows
 
 
@@ -310,29 +239,29 @@ def test_condensed_tableau_matches_the_full_tableau(lp):
 
 BEALE = (
     [75, -15000, 2, -600],
-    [([25, -6000, -4, 900], "<=", 0), ([50, -9000, -2, 300], "<=", 0), ([0, 0, 1, 0], "<=", 1)],
+    [([25, -6000, -4, 900], 0), ([50, -9000, -2, 300], 0), ([0, 0, 1, 0], 1)],
 )
 
 
 @pytest.mark.parametrize(
     "objective, constraints, status",
     [
-        # phase 1 ends with the artificial basic at level 0 over a negative
-        # entry: the drive-out pivot negates its row
-        ([1], [([-1], "==", 0)], OPTIMAL),
-        ([-2, 1], [([-1, 0], "==", 0), ([2, 2], "==", 1)], OPTIMAL),
-        ([-1, 2], [([-2, 0], "==", 0), ([0, 1], "==", 1)], OPTIMAL),
-        # both branches of the drive-out in one program
-        ([-1, 1], [([0, 0], "==", 0), ([-2, 0], "==", 0), ([2, 1], "==", 1)], OPTIMAL),
-        # redundant equalities: the zeroed-row branch
-        ([1], [([0], "==", 0)], UNBOUNDED),
-        ([1, 1], [([1, 1], "==", 1), ([2, 2], "==", 2)], OPTIMAL),
-        ([1, -1], [([1, -1], "==", 0), ([-1, 1], "==", 0), ([1, 0], "<=", 4)], OPTIMAL),
-        ([1], [([1], "==", 1), ([1], "==", 2)], INFEASIBLE),
-        # a ratio tie between an artificial's row and a later slack's row:
-        # the smaller basis index, the slack, leaves
-        ([0, -1, 1], [([0, 1, 2], "==", 1), ([1, 1, -2], "<=", 1)], OPTIMAL),
-        ([-1, 0, 0], [([2, 1, 1], "==", 2), ([2, -1, 0], "<=", 2), ([-2, -1, 2], "<=", 0)], OPTIMAL),
+        # an equality as two opposite rows, and scaled copies of one row:
+        # ratio ties, where the smaller basis index leaves
+        ([1, -1], [([1, -1], 0), ([-1, 1], 0), ([1, 0], 4)], OPTIMAL),
+        ([1, 1], [([1, 1], 1), ([2, 2], 2)], OPTIMAL),
+        ([0, -1, 1], [([0, 1, 2], 1), ([1, 1, -2], 1)], OPTIMAL),
+        ([-1, 0, 1], [([2, 1, 1], 2), ([2, -1, 0], 2), ([-2, -1, 2], 0)], OPTIMAL),
+        ([1], [([0], 0)], UNBOUNDED),
+        # the margin program of three equally spaced points: its tie
+        # d(x1,x2) = d(x2,x3) as two opposite rows
+        ([0, 0, 1], [([-1, 0, 1], 0), ([0, -1, 1], 0), ([-1, 1, 0], 0), ([1, -1, 0], 0),
+                     ([0, -1, 1], 0), ([1, 1, 0], 1)], OPTIMAL),
+        # optimal at the start; every pivot degenerate; no rows at all
+        ([0, 0], [([1, -1], 0)], OPTIMAL),
+        ([1], [], UNBOUNDED),
+        ([-1], [], OPTIMAL),
+        ([1, 1], [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)], OPTIMAL),
         (*BEALE, OPTIMAL),
     ],
 )
@@ -343,10 +272,9 @@ def test_degenerate_programs_match_the_full_tableau(objective, constraints, stat
 @settings(max_examples=300)
 @given(st.data())
 def test_a_pivot_keeps_the_nonbasic_columns_of_the_full_tableau(data):
-    # pivots of either sign, as a drive-out makes them, side by side on the
-    # full tableau [A | I | b] and the condensed [A | b]. In solve_lp a
-    # negative pivot only drives out an artificial, whose column is dropped
-    # afterwards, so only this test sees that column's sign.
+    # positive pivots anywhere, not only where Bland's rule and the ratio
+    # test lead, side by side on the full tableau [A | I | b] and the
+    # condensed [A | b]
     m = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 4))
     rows = [data.draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
@@ -354,12 +282,12 @@ def test_a_pivot_keeps_the_nonbasic_columns_of_the_full_tableau(data):
     T, cols, basis, d = [list(r) for r in rows], list(range(n)), list(range(n, n + m)), 1
     full_basis, full_d = list(basis), 1
     for _ in range(data.draw(st.integers(1, 4))):
-        choices = [(r, e) for r in range(m) for e in range(len(cols)) if T[r][e]]
+        choices = [(r, e) for r in range(m) for e in range(len(cols)) if T[r][e] > 0]
         if not choices:
             break
         r, e = data.draw(st.sampled_from(choices))
         _, full_d = _pivot(full, full_basis, None, r, cols[e], full_d)
-        _, d = simplex._pivot(T, basis, cols, None, r, e, d)
+        d = simplex._pivot(T, basis, cols, r, e, d)
         assert (basis, d) == (full_basis, full_d)
         assert T == [[row[v] for v in cols] + row[-1:] for row in full]
 

@@ -16,11 +16,7 @@ BOX = 5
 def satisfies(x, constraints):
     if any(v < 0 for v in x):
         return False
-    for coeffs, sense, rhs in constraints:
-        lhs = sum(c * v for c, v in zip(coeffs, x))
-        if not (lhs <= rhs if sense == "<=" else lhs == rhs):
-            return False
-    return True
+    return all(sum(c * v for c, v in zip(coeffs, x)) <= rhs for coeffs, rhs in constraints)
 
 
 def solve_square(rows):
@@ -40,13 +36,11 @@ def solve_square(rows):
 
 
 def best_vertex(objective, constraints):
-    """Maximum of the objective over the feasible vertices, or None when
-    there is none. With x >= 0 and a bounding box the feasible set is a
-    polytope, so it is empty iff it has no vertex, and its maximum sits at
-    one."""
+    """Maximum of the objective over the feasible vertices. With x >= 0,
+    rhs >= 0 and a bounding box the feasible set is a polytope holding the
+    origin, so its maximum sits at a vertex."""
     n = len(objective)
-    planes = [(coeffs, rhs) for coeffs, _, rhs in constraints]
-    planes += [([int(i == j) for j in range(n)], 0) for i in range(n)]
+    planes = list(constraints) + [([int(i == j) for j in range(n)], 0) for i in range(n)]
     best = None
     for subset in itertools.combinations(planes, n):
         x = solve_square(subset)
@@ -63,12 +57,11 @@ small = st.integers(-3, 3)
 def boxed_lps(draw):
     n = draw(st.integers(1, 3))
     objective = draw(st.lists(small, min_size=n, max_size=n))
-    box = [([int(i == j) for j in range(n)], "<=", BOX) for i in range(n)]
+    box = [([int(i == j) for j in range(n)], BOX) for i in range(n)]
     extra = draw(
         st.lists(
             st.tuples(
                 st.lists(small, min_size=n, max_size=n),
-                st.sampled_from(["<=", "=="]),
                 st.integers(0, 3),
             ),
             min_size=1,
@@ -83,11 +76,7 @@ def boxed_lps(draw):
 def test_solve_lp_matches_vertex_enumeration(lp):
     objective, constraints = lp
     status, x, value = simplex.solve_lp(objective, constraints)
-    expected = best_vertex(objective, constraints)
-    if expected is None:
-        assert (status, x, value) == (simplex.INFEASIBLE, None, None)
-        return
     assert status == simplex.OPTIMAL
-    assert value == expected
+    assert value == best_vertex(objective, constraints)
     assert satisfies(x, constraints)
     assert sum(c * v for c, v in zip(objective, x)) == value
