@@ -237,8 +237,8 @@ def format_hasse(h: HasseDiagram) -> str:
     new_id = {old: pos + 1 for pos, old in enumerate(order)}
     lines = [f"hasse {len(vertices)}"]
     for pos, old in enumerate(order):
-        members = " ".join(str(p + 1) for p in sorted(vertices[old]))
-        lines.append(f"v {pos + 1} : {members}")
+        members = "".join(f" {p + 1}" for p in sorted(vertices[old]))
+        lines.append(f"v {pos + 1} :{members}")
     for u, v in sorted((new_id[u], new_id[v]) for u, v in h.arcs):
         lines.append(f"a {u} {v}")
     return "\n".join(lines) + "\n"

@@ -1,17 +1,22 @@
 """Exhaustive enumeration by isomorphism class and the conjecture reports."""
 
+import hashlib
 import itertools
+import math
 import subprocess
 import sys
 
 import pytest
 
 from conftest import load_hasse, load_space, relabel
-from ordspace.balls import ball_set, hasse, hasse_isomorphic
+from ordspace.balls import _ball_masks, ball_set, hasse, hasse_isomorphic
 from ordspace.census import (
     A263511_PREFIX,
     CensusFilter,
     Verdict,
+    _ball_counts,
+    _orderly_levels,
+    _rank_rows,
     burnside_count,
     census_report,
     enumerate_spaces,
@@ -22,6 +27,7 @@ from ordspace.census import (
 from ordspace.errors import SizeLimitError, ValidationError
 from ordspace.space import (
     OrdinalSpace,
+    _pair_perms,
     all_pairs,
     canonical_form,
     canonical_level_vector,
@@ -51,6 +57,41 @@ def test_burnside_agrees_and_extends_beyond_enumeration():
         assert burnside_count(n, CensusFilter.INJECTIVE) == INJECTIVE_COUNTS[n]
     assert burnside_count(5, CensusFilter.ALL) == 856608
     assert burnside_count(5, CensusFilter.INJECTIVE) == 30240
+
+
+def _burnside_by_permutation(n, filt):
+    # the orbit count summed over every relabeling, kept as a slow oracle
+    p = n * (n - 1) // 2
+    total = 0
+    for pg in _pair_perms(n):
+        seen = [False] * p
+        cycles = 0
+        for start in range(p):
+            if seen[start]:
+                continue
+            cycles += 1
+            t = start
+            while not seen[t]:
+                seen[t] = True
+                t = pg[t]
+        if filt is CensusFilter.ALL:
+            total += fubini(cycles)
+        elif cycles == p:
+            total += math.factorial(p)
+    return total // math.factorial(n)
+
+
+@pytest.mark.parametrize("filt", list(CensusFilter))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_burnside_cycle_types_match_the_permutation_loop(n, filt):
+    assert burnside_count(n, filt) == _burnside_by_permutation(n, filt)
+
+
+def test_burnside_keeps_no_pair_maps():
+    before = _pair_perms.cache_info().currsize
+    assert burnside_count(8, CensusFilter.INJECTIVE) == math.factorial(28) // math.factorial(8)
+    burnside_count(8, CensusFilter.ALL)
+    assert _pair_perms.cache_info().currsize == before
 
 
 def test_representatives_are_canonical_and_sorted():
@@ -109,6 +150,25 @@ def test_orderly_generation_matches_canonicalize_and_dedup(n, filt):
         seen.add(canonical_form(OrdinalSpace.from_rows(rows)))
     expected = tuple(sorted(seen, key=lambda s: s.level_vector()))
     assert enumerate_spaces(n, filt) == expected
+
+
+def test_full_n5_levels_are_pinned():
+    # every class on five points, in order, as the per-position search found them
+    levels = _orderly_levels(5, False)
+    digest = hashlib.sha256()
+    for lv in levels:
+        digest.update(bytes(lv))
+    assert len(levels) == 856608
+    assert digest.hexdigest() == "4c9c6ebf38c451514dd8bae6dc6943f4c8baee791af80241ede10479d2a65829"
+
+
+def test_ball_counts_read_once_per_row_match_the_whole_matrix():
+    cases = [(n, injective) for n in (1, 2, 3, 4) for injective in (False, True)]
+    cases.append((5, True))
+    for n, injective in cases:
+        levels = _orderly_levels(n, injective)
+        expected = [len(_ball_masks(rows)) for rows in _rank_rows(n, levels)]
+        assert _ball_counts(n, levels) == expected
 
 
 def test_injective_census_n5_is_canonical_sorted_and_complete():

@@ -94,6 +94,12 @@ def test_hasse_round_trip():
         assert format_hasse(back) == text  # writing is canonical
 
 
+def test_hasse_vertex_lines_have_no_trailing_space():
+    text = format_hasse(hasse([frozenset(), frozenset({0}), frozenset({0, 2})]))
+    assert text == "hasse 3\nv 1 :\nv 2 : 1\nv 3 : 1 3\na 1 2\na 2 3\n"
+    assert format_hasse(parse_hasse(text)) == text
+
+
 def test_hasse_reference_fixtures_parse():
     ref3 = load_hasse("ref3.hasse")
     assert len(ref3.vertices) == 6 and len(ref3.arcs) == 6
