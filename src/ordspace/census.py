@@ -69,26 +69,66 @@ def _orderly_levels(n, injective):
     relabeling g reads the vector as w[t] = v[pg[t]]; the prefix dies as
     soon as some g makes w smaller on positions already fixed, and a child
     inherits only the relabelings whose comparison is still open, each with
-    the first position not yet decided. A prefix also dies when too few
+    the first position s not yet decided. A prefix also dies when too few
     positions remain to fill the levels skipped below its maximum.
 
-    A live relabeling always has s <= t, so one whose next comparison reads
-    a later position (pg[s] > t) stays open whatever v[t] is, and passes
-    on as it is.
+    Position t decides a live g only when its next comparison reads it, and
+    then the level x at t meets a threshold c: for pg[s] = t, w[s] = x
+    against v[s] = c; for s = t, w[t] = v[pg[t]] = c against x. On one
+    side of c, g makes the prefix smaller and kills it; on the other, g
+    makes it larger for good and drops out; at c the comparison moves on.
+    So each node sorts its relabelings once, tries only the levels between
+    the thresholds, and rescans only the relabelings tied at the level.
     """
     p = n * (n - 1) // 2
+    if p == 0:
+        return [()]
     identity = tuple(range(p))
     perms = [pg for pg in _pair_perms(n) if pg != identity]
     v = [0] * p
     uses = [0] * (p + 1)
+    last = p - 1
     out = []
 
+    def settle(tied, t):
+        """The relabelings tied at v[t] that stay open; None if one makes
+        the prefix smaller."""
+        kept = []
+        for pg, s in tied:
+            s += 1
+            while s <= t and pg[s] <= t and v[pg[s]] == v[s]:
+                s += 1
+            if s > t or pg[s] > t:
+                kept.append((pg, s))
+            elif v[pg[s]] < v[s]:
+                return None
+        return kept
+
     def extend(t, live, top, distinct):
-        if t == p:
-            out.append(tuple(v))
-            return
-        room = p - 1 - t
-        for x in range(1, p + 1):
+        passing = []  # open whatever v[t] is
+        ties = {}  # threshold -> the relabelings it decides
+        lo, hi = 1, p
+        for entry in live:
+            pg, s = entry
+            u = pg[s]
+            if u > t:  # its next comparison reads a later position
+                passing.append(entry)
+            elif u == s:  # s = t and g fixes t: w[t] is v[t]
+                passing.append((pg, t + 1))
+            else:
+                if u == t:  # x < v[s] makes w smaller
+                    c = v[s]
+                    if c > lo:
+                        lo = c
+                else:  # s = t: x > v[u] makes w smaller
+                    c = v[u]
+                    if c < hi:
+                        hi = c
+                if c in ties:
+                    ties[c].append(entry)
+                else:
+                    ties[c] = [entry]
+        for x in range(lo, hi + 1):
             if uses[x]:
                 if injective:
                     continue
@@ -96,24 +136,19 @@ def _orderly_levels(n, injective):
             else:
                 new_distinct = distinct + 1
             new_top = x if x > top else top
-            if new_top - new_distinct > room:
+            if new_top - new_distinct > last - t:
                 if x > top:
                     break  # every larger level leaves even more unfilled
                 continue
             v[t] = x
-            undecided = []
-            keep = undecided.append
-            for entry in live:
-                pg, s = entry
-                if pg[s] > t:
-                    keep(entry)
-                    continue
-                while s <= t and pg[s] <= t and v[pg[s]] == v[s]:
-                    s += 1
-                if s > t or pg[s] > t:
-                    keep((pg, s))
-                elif v[pg[s]] < v[s]:
-                    break  # g relabels this prefix to a smaller one
+            undecided = passing
+            if x in ties:
+                kept = settle(ties[x], t)
+                if kept is None:
+                    continue  # some g relabels this prefix to a smaller one
+                undecided = passing + kept
+            if t == last:
+                out.append(tuple(v))
             else:
                 uses[x] += 1
                 extend(t + 1, undecided, new_top, new_distinct)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import subprocess
 import sys
 
@@ -152,14 +153,26 @@ def test_orderly_generation_matches_canonicalize_and_dedup(n, filt):
     assert enumerate_spaces(n, filt) == expected
 
 
-def test_full_n5_levels_are_pinned():
-    # every class on five points, in order, as the per-position search found them
-    levels = _orderly_levels(5, False)
+def _levels_digest(levels):
     digest = hashlib.sha256()
     for lv in levels:
         digest.update(bytes(lv))
+    return digest.hexdigest()
+
+
+def test_injective_n5_levels_are_pinned():
+    # every injective class on five points, in order, as the per-position search found them
+    levels = _orderly_levels(5, True)
+    assert len(levels) == 30240
+    assert _levels_digest(levels) == "da6acf2288c4658a7be6d9dfb3a312303aa9f9522153353eb782faf0f612dcd7"
+
+
+@pytest.mark.skipif(not os.environ.get("ORDSPACE_HUGE"), reason="full n = 5 census; set ORDSPACE_HUGE=1")
+def test_full_n5_levels_are_pinned():
+    # every class on five points, in order, as the per-position search found them
+    levels = _orderly_levels(5, False)
     assert len(levels) == 856608
-    assert digest.hexdigest() == "4c9c6ebf38c451514dd8bae6dc6943f4c8baee791af80241ede10479d2a65829"
+    assert _levels_digest(levels) == "4c9c6ebf38c451514dd8bae6dc6943f4c8baee791af80241ede10479d2a65829"
 
 
 def test_ball_counts_read_once_per_row_match_the_whole_matrix():
