@@ -174,17 +174,18 @@ def _rank_rows(n, levels):
 def _ball_counts(n, levels):
     """Ball count of each level vector: the size of the union of its rows'
     balls. A row's balls depend on that row alone and classes share rows,
-    so each distinct row is read once per call."""
+    so each distinct row is read once per call, its balls kept as one int
+    with bit m set for member mask m (at most 2**n bits)."""
     memo = {}
     counts = []
     for rows in _rank_rows(n, levels):
-        balls = set()
+        balls = 0
         for row in rows:
-            masks = memo.get(row)
-            if masks is None:
-                masks = memo[row] = _ball_masks((row,))
-            balls |= masks
-        counts.append(len(balls))
+            bits = memo.get(row)
+            if bits is None:
+                bits = memo[row] = sum(1 << m for m in _ball_masks((row,)))
+            balls |= bits
+        counts.append(balls.bit_count())
     return counts
 
 
