@@ -8,9 +8,10 @@ by a fraction-free pivoted L D L^T of the anchored Gram matrix, cleared to
 integers once (realize_simplex builds the integers directly and has nothing
 to clear). Its pivots alone decide positive (semi)definiteness
 and rank, and one exact integer identity, P G P^T = L D L^T, re-verifies
-the factors; the certificate holds them as rationals, so squared distances
-recompute exactly. Square roots are taken only for display coordinates,
-never for comparisons.
+the factors; the certificate keeps those verified integers and reads the
+rational squared distances and factors off them when asked, so squared
+distances recompute exactly. Square roots are taken only for display
+coordinates, never for comparisons.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -97,14 +100,44 @@ def blumenthal_check(d: DistanceMatrix):
 @dataclass(frozen=True)
 class ExactCertificate:
     """Coordinates in factored form: point order[0] at the origin, point
-    order[i] at row i-1 of L * sqrt(diag). L and diag are rational, so all
-    squared distances recompute exactly as squared[a][b]."""
+    order[i] at row i-1 of L * sqrt(diag).
 
-    squared: tuple  # n x n Fractions
+    The certificate keeps the integers it verified: the squared distances
+    are num / q, and row i of L holds factor[i][t] / pivots[t] for
+    t < len(factor[i]) = min(i + 1, rank), then zeros, with 1 on the
+    diagonal. squared and unit_lower are Fraction views built when first
+    read. diag, pivots[t] / (2q pivots[t-1]) for t < rank (pivots[-1] read
+    as 1) and then 0, is a field, so a certificate with one entry changed
+    can be built by dataclasses.replace, as the benchmark checker's own
+    test does. L and diag are rational, so all squared distances recompute
+    exactly as squared[a][b]."""
+
     order: tuple  # point indices, anchor first
-    unit_lower: tuple  # (n-1) x (n-1) Fractions
-    diag: tuple  # n-1 nonnegative Fractions
     rank: int
+    q: int  # common denominator of the squared distances
+    num: tuple  # n x n ints, q times the squared distances
+    factor: tuple  # n-1 rows of fraction-free factor entries
+    pivots: tuple  # rank positive ints, the leading principal minors
+    diag: tuple  # n-1 nonnegative Fractions
+
+    @cached_property
+    def squared(self):
+        """The n x n squared distances as Fractions."""
+        q = self.q
+        return tuple(tuple(Fraction(v, q) for v in row) for row in self.num)
+
+    @cached_property
+    def unit_lower(self):
+        """L as (n-1) x (n-1) Fractions."""
+        m = len(self.order) - 1
+        zero, one = Fraction(0), Fraction(1)
+        return tuple(
+            tuple(
+                Fraction(row[t], self.pivots[t]) if t < min(i, self.rank) else one if t == i else zero
+                for t in range(m)
+            )
+            for i, row in enumerate(self.factor)
+        )
 
     def squared_distance(self, a, b):
         """Recompute |x_a - x_b|^2 from the factors (a, b index order)."""
@@ -119,17 +152,14 @@ class ExactCertificate:
 
     def float_coordinates(self, dim):
         """Display coordinates. Each factor is the correctly rounded
-        quotient of its integer numerator and denominator, as float() of a
-        Fraction is, so the floats are those of float(L) * sqrt(float(D))."""
+        quotient of its integers, as float() of the reduced Fraction is, so
+        the floats are those of float(L) * sqrt(float(D))."""
         roots = [math.sqrt(v.numerator / v.denominator) for v in self.diag]
-        n = len(self.order)
-        coords = [None] * n
+        coords = [None] * len(self.order)
         coords[self.order[0]] = (0.0,) * dim
-        for i in range(1, n):
-            row = self.unit_lower[i - 1]
-            xs = [row[t].numerator / row[t].denominator * roots[t] for t in range(self.rank)]
-            xs += [0.0] * (dim - self.rank)
-            coords[self.order[i]] = tuple(xs)
+        for point, row in zip(self.order[1:], self.factor):
+            xs = [a / p * r for a, p, r in zip(row, self.pivots, roots)]
+            coords[point] = (*xs, *(0.0,) * (dim - len(xs)))
         return tuple(coords)
 
 
@@ -152,8 +182,8 @@ def _ldl_int(g):
     pivots = []
     prev = 1
     for step in range(m):
-        best = max(range(step, m), key=lambda i: a[i][i])
-        pivot = a[best][best]
+        pivot, best = max((a[i][i], -i) for i in range(step, m))
+        best = -best
         if pivot < 0:
             return None
         if pivot == 0:
@@ -186,11 +216,12 @@ def _certificate_from_squared(squared, dim=None):
     Denominators are cleared by their lcm q, as in cayley_menger, and the
     cleared matrix goes to _certificate_from_cleared. Returns the
     certificate, or None when the points do not embed (in dimension dim)."""
-    return _certificate_from_cleared(squared, *_cleared(squared), dim)
+    return _certificate_from_cleared(*_cleared(squared), dim)
 
 
-def _certificate_from_cleared(squared, q, num, dim=None):
-    """The certificate of squared = num / q, from the integer matrix num.
+def _certificate_from_cleared(q, num, dim=None):
+    """The certificate of the squared distances num / q, from the integer
+    matrix num.
 
     The Gram matrix anchored at point 0, scaled by 2q, is an integer matrix
     G. Its pivots decide: the points embed iff G is positive semidefinite,
@@ -202,7 +233,8 @@ def _certificate_from_cleared(squared, q, num, dim=None):
     exceeds dim)."""
     n = len(num)
     m = n - 1
-    g = [[num[0][i] + num[0][j] - num[i][j] for j in range(1, n)] for i in range(1, n)]
+    top = num[0]
+    g = [[top[i] + top[j] - row[j] for j in range(1, n)] for i, row in enumerate(num[1:], 1)]
     factored = _ldl_int(g)
     if factored is None:
         return None
@@ -210,28 +242,23 @@ def _certificate_from_cleared(squared, q, num, dim=None):
     rank = len(pivots)
     if dim is not None and rank > dim:
         return None
+    # the lower triangle of the fraction-free L: row i, t < min(i + 1, rank)
+    factor = tuple(tuple(row[: min(i + 1, rank)]) for i, row in enumerate(a))
     # G[perm i][perm j] == sum_t a[i][t] a[j][t] / (p[t] p[t+1]), cleared
     # by the product of the pivots
     p = [1, *pivots]
     total = math.prod(pivots)
     weights = [total // (p[t] * p[t + 1]) for t in range(rank)]
-    for i in range(m):
+    for i, row in enumerate(factor):
+        weighted = list(map(mul, row, weights))
+        gi = g[perm[i]]
         for j in range(i + 1):
-            terms = sum(a[i][t] * a[j][t] * weights[t] for t in range(min(j + 1, rank)))
-            if terms != total * g[perm[i]][perm[j]]:
+            if sum(map(mul, weighted, factor[j])) != total * gi[perm[j]]:
                 raise SolverError("certificate failed exact recomputation")
-    zero, one = Fraction(0), Fraction(1)
-    unit_lower = tuple(
-        tuple(
-            Fraction(a[i][t], pivots[t]) if t < min(i, rank) else one if t == i else zero
-            for t in range(m)
-        )
-        for i in range(m)
-    )
     diag = tuple(Fraction(p[t + 1], 2 * q * p[t]) for t in range(rank))
-    diag += (zero,) * (m - rank)
+    diag += (Fraction(0),) * (m - rank)
     order = (0,) + tuple(i + 1 for i in perm)
-    return ExactCertificate(squared, order, unit_lower, diag, rank)
+    return ExactCertificate(order, rank, q, tuple(map(tuple, num)), factor, tuple(pivots), diag)
 
 
 def _squared_matches_space(squared, s):
@@ -259,24 +286,25 @@ def realize_simplex(s: OrdinalSpace) -> EuclidWitness:
     c = 2k * 2^h the squared distances are (c + rank)^2 / c^2, so the
     integers (c + rank)^2 over q = c^2 go straight to the factorisation, and
     2q times the anchored Gram matrix is an integer matrix; the pivots of
-    its fraction-free L D L^T decide. Fractions are built only for the
-    certificate: the k distinct squared values, L and D. All n-1 pivots
-    positive means positive definite, which by Sylvester's criterion is
-    exactly Blumenthal's determinant sign test; otherwise the scale is
-    halved, and near the regular simplex the test must pass, so the loop
-    terminates long before the cap. The factors are re-verified by one
-    exact integer identity and the integer squares by their order against
-    the ranks. The display floats are correctly rounded integer quotients of
-    L and D, so they are bit for bit float(L) * sqrt(float(D)).
+    its fraction-free L D L^T decide. All n-1 pivots positive means
+    positive definite, which by Sylvester's criterion is exactly
+    Blumenthal's determinant sign test; otherwise the scale is halved, and
+    near the regular simplex the test must pass, so the loop terminates
+    long before the cap. The factors are re-verified by one exact integer
+    identity and the integer squares by their order against the ranks. The
+    certificate keeps those integers, and Fractions are built only for D,
+    the n-1 diagonal entries; the squared distances and L are Fraction
+    views built when first read. The display floats are correctly rounded
+    integer quotients of L and D, so they are bit for bit
+    float(L) * sqrt(float(D)).
     """
     n, k = s.n, s.k
     for h in range(SCALE_HALVINGS):
         c = 2 * k << h
         q = c * c or 1  # one point: no distance, c = 0
-        num = [[(c + r) ** 2 if r else 0 for r in row] for row in s.ranks]
-        value = [Fraction(0)] + [Fraction((c + r) ** 2, q) for r in range(1, k + 1)]
-        squared = tuple(tuple(value[r] for r in row) for row in s.ranks)
-        cert = _certificate_from_cleared(squared, q, num)
+        value = [0] + [(c + r) ** 2 for r in range(1, k + 1)]
+        num = tuple(tuple(map(value.__getitem__, row)) for row in s.ranks)
+        cert = _certificate_from_cleared(q, num)
         if cert is not None and cert.rank == n - 1:
             if not _ranks_like(s, [num[i][j] for i, j in all_pairs(n)]):
                 raise SolverError("simplex witness failed ordinal re-verification")

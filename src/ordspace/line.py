@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -274,11 +275,20 @@ def _margin_lp(s, ordering):
         raise SolverError("margin LP unbounded; constraint assembly is broken")
     if value <= 0:
         return None
-    witness = LineWitness(tuple(ordering), tuple(x[:m]), x[m])
-    at = dict(zip(ordering, witness.coordinates()))
+    # re-check on integer positions: the gaps cleared by the lcm of their
+    # denominators, summed along the order. Scaling by a positive integer
+    # keeps every sign and comparison, so the check is as strong as on the
+    # rational coordinates.
+    gaps = x[:m]
+    scale = math.lcm(*(g.denominator for g in gaps))
+    at = [0] * n
+    pos = 0
+    for point, g in zip(ordering[1:], gaps):
+        pos += g.numerator * (scale // g.denominator)
+        at[point] = pos
     if not _ranks_like(s, [abs(at[i] - at[j]) for i, j in s.pairs()]):
         raise SolverError("line witness failed exact re-verification")
-    return witness
+    return LineWitness(tuple(ordering), tuple(gaps), x[m])
 
 
 def embed_line(s: OrdinalSpace):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import collinear, load_space, random_space, relabel, space_from_values
 from ordspace import euclid
 from ordspace.census import CensusFilter, enumerate_spaces
-from ordspace.errors import ValidationError
+from ordspace.errors import SolverError, ValidationError
 from ordspace.euclid import (
     EMBEDDABLE,
     INCONCLUSIVE,
@@ -243,17 +243,31 @@ def test_realize_simplex_rejects_a_singular_certificate(monkeypatch):
     real = euclid._certificate_from_cleared
     seen = []
 
-    def singular_first(squared, q, num, dim=None):
-        seen.append(squared)
-        return singular if len(seen) == 1 else real(squared, q, num, dim)
+    def singular_first(q, num, dim=None):
+        seen.append((q, num))
+        return singular if len(seen) == 1 else real(q, num, dim)
 
     monkeypatch.setattr(euclid, "_certificate_from_cleared", singular_first)
     s = load_space("min3.ord")
     cert = realize_simplex(s).certificate
     assert cert.rank == 2
     assert len(seen) == 2
-    once = scaled_distances(s, 1).values
-    assert cert.squared == seen[1] == tuple(tuple(v * v for v in r) for r in once)
+    once = tuple(tuple(v * v for v in r) for r in scaled_distances(s, 1).values)
+    q, num = seen[1]
+    assert cert.squared == tuple(tuple(Fraction(v, q) for v in r) for r in num) == once
+
+
+def test_realize_simplex_rejects_a_factor_off_by_one(monkeypatch):
+    real = euclid._ldl_int
+
+    def off_by_one(g):
+        perm, a, pivots = real(g)
+        a[-1][0] += 1  # a lower-triangle factor entry the identity reads
+        return perm, a, pivots
+
+    monkeypatch.setattr(euclid, "_ldl_int", off_by_one)
+    with pytest.raises(SolverError, match="certificate failed exact recomputation"):
+        realize_simplex(load_space("min4.ord"))
 
 
 def test_realize_simplex_certificate_pinned():
@@ -326,6 +340,42 @@ def test_simplex_floats_are_those_of_the_certificate(s):
     assert float_bits(w.coords) == float_bits(by_fraction)
     for a, b in itertools.product(range(s.n), repeat=2):
         assert cert.squared_distance(a, b) == cert.squared[cert.order[a]][cert.order[b]]
+
+
+@st.composite
+def rational_point_sets(draw):
+    """The squared-distance matrix of 1-6 points in R^1..R^3 with rational
+    coordinates of mixed denominators, and that dimension."""
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    points = [[draw(coordinate) for _ in range(dim)] for _ in range(n)]
+    squared = tuple(
+        tuple(sum(((a - b) ** 2 for a, b in zip(x, y)), Fraction(0)) for y in points)
+        for x in points
+    )
+    return squared, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_point_sets())
+def test_certificate_views_rebuild_rational_squares(case):
+    # the path embed_heuristic takes: denominators cleared by their lcm,
+    # then squared, unit_lower and diag read back as Fractions
+    squared, dim = case
+    n = len(squared)
+    cert = _certificate_from_squared(squared, dim=dim)
+    assert cert is not None and cert.rank <= dim
+    assert cert.squared == squared
+    for a, b in itertools.product(range(n), repeat=2):
+        assert cert.squared_distance(a, b) == squared[cert.order[a]][cert.order[b]]
+    roots = [math.sqrt(float(v)) for v in cert.diag]
+    by_fraction = [None] * n
+    for i, point in enumerate(cert.order):
+        row = cert.unit_lower[i - 1] if i else (Fraction(0),) * (n - 1)
+        xs = [float(row[t]) * roots[t] for t in range(cert.rank)]
+        by_fraction[point] = xs + [0.0] * (dim - cert.rank)
+    assert float_bits(cert.float_coordinates(dim)) == float_bits(by_fraction)
 
 
 def test_squared_matches_space_needs_positive_distances():

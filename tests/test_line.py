@@ -21,8 +21,9 @@ from conftest import (
     relabel,
     space_from_values,
 )
+from ordspace import simplex
 from ordspace.census import CensusFilter, enumerate_spaces
-from ordspace.errors import SizeLimitError, ValidationError
+from ordspace.errors import SizeLimitError, SolverError, ValidationError
 from ordspace.formats import parse_distance_csv
 from ordspace.line import (
     NOT_EMBEDDABLE,
@@ -288,6 +289,22 @@ def test_embed_line_golden_witnesses():
         else:
             s = load_space(name)
         assert repr(embed_line(s)) == expected, name
+
+
+def test_embed_line_rejects_a_witness_that_ranks_unlike_the_space(monkeypatch):
+    # seven_line.csv passes the screen and has 21 distinct ranks; equal
+    # gaps give only 6 distinct distances, so the re-check must refuse them
+    s = ordinal_type(parse_distance_csv(fixture_text("seven_line.csv")))
+    assert _forced_ordering(s.ranks) is not None and s.k == 21
+    margin = Fraction(1, 100)
+
+    def equal_gaps(objective, constraints):
+        m = len(objective) - 1
+        return simplex.OPTIMAL, [Fraction(1, m)] * m + [margin], margin
+
+    monkeypatch.setattr(simplex, "solve_lp", equal_gaps)
+    with pytest.raises(SolverError, match="line witness failed exact re-verification"):
+        embed_line(s)
 
 
 def test_find_majorizing_enumeration_golden():
