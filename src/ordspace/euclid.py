@@ -105,12 +105,13 @@ class ExactCertificate:
     The certificate keeps the integers it verified: the squared distances
     are num / q, and row i of L holds factor[i][t] / pivots[t] for
     t < len(factor[i]) = min(i + 1, rank), then zeros, with 1 on the
-    diagonal. squared and unit_lower are Fraction views built when first
-    read. diag, pivots[t] / (2q pivots[t-1]) for t < rank (pivots[-1] read
-    as 1) and then 0, is a field, so a certificate with one entry changed
-    can be built by dataclasses.replace, as the benchmark checker's own
-    test does. L and diag are rational, so all squared distances recompute
-    exactly as squared[a][b]."""
+    diagonal; squared and unit_lower are Fraction views built when first
+    read. diag[t] is pivots[t] / (2q pivots[t-1]) for t < rank, with
+    pivots[-1] read as 1, and 0 after. It is a field, built at once, so
+    that dataclasses.replace can build a certificate with one entry
+    changed, as the benchmark checker's test does. L and diag are
+    rational, so all squared distances recompute exactly as
+    squared[a][b]."""
 
     order: tuple  # point indices, anchor first
     rank: int
